@@ -438,6 +438,34 @@ impl Cache {
         self.tick = 0;
     }
 
+    /// Whether no access has reached this cache since it was built or
+    /// last [`Cache::reset`]: every access advances the tick, so a zero
+    /// tick means contents, line buffer and statistics are the reset
+    /// state.
+    pub(crate) fn is_pristine(&self) -> bool {
+        self.tick == 0
+    }
+
+    /// Copies `src`'s contents, line buffer, statistics and tick into this
+    /// cache without allocating; the configuration and probe path stay
+    /// this cache's own. Returns `false`, leaving this cache untouched,
+    /// when `src` was built with a different configuration.
+    pub(crate) fn restore_from(&mut self, src: &Cache) -> bool {
+        if self.config != src.config {
+            return false;
+        }
+        self.tags.copy_from_slice(&src.tags);
+        self.stamps.copy_from_slice(&src.stamps);
+        self.flags.copy_from_slice(&src.flags);
+        self.sig.copy_from_slice(&src.sig);
+        self.lb_addr = src.lb_addr;
+        self.lb_slot = src.lb_slot;
+        self.lb_refs.copy_from_slice(&src.lb_refs);
+        self.stats = src.stats;
+        self.tick = src.tick;
+        true
+    }
+
     /// The state of every line, in `(set, way)` order. Intended for
     /// differential tests; not on any hot path.
     #[must_use]

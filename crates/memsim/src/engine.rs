@@ -32,6 +32,10 @@ pub const SIMD_WIDTH_BYTES: u32 = 32;
 /// assert_eq!(report.offchip_bytes, 128); // two 64-byte line fills
 /// # Ok::<(), CacheConfigError>(())
 /// ```
+///
+/// A clone doubles as a snapshot: [`SimdEngine::restore_from`] copies a
+/// clone's state back into an engine without allocating.
+#[derive(Clone)]
 pub struct SimdEngine {
     cache: Cache,
     cycles: u64,
@@ -97,19 +101,30 @@ impl SimdEngine {
         &self.cache
     }
 
-    /// Drives N independent workload traces through interleaved batched
-    /// cache passes; see [`crate::batch::run_batch`] (this is the same
-    /// function, re-homed for discoverability).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config` is invalid.
+    /// Whether the engine is in its reset state: zero cycles, zero ops
+    /// and no cache access since it was built or last
+    /// [`SimdEngine::reset`]. The cache is checked directly because zero
+    /// ops alone does not imply it: [`SimdEngine::commit_accesses`] with
+    /// `ops = 0` touches the cache without counting an op.
     #[must_use]
-    pub fn run_batch(
-        config: &CacheConfig,
-        workloads: &[&dyn crate::kernels::Workload],
-    ) -> Vec<crate::kernels::KernelStats> {
-        crate::batch::run_batch(config, workloads)
+    pub fn is_pristine(&self) -> bool {
+        self.cycles == 0 && self.ops == 0 && self.cache.is_pristine()
+    }
+
+    /// Overwrites this engine's state — cache contents, line buffer,
+    /// statistics and tick, plus cycles and ops — with `snapshot`'s (a
+    /// clone taken earlier), without allocating. The configuration and
+    /// probe path stay this engine's own. Returns `false`, leaving the
+    /// engine untouched, when `snapshot` has a different cache
+    /// configuration.
+    #[must_use]
+    pub fn restore_from(&mut self, snapshot: &SimdEngine) -> bool {
+        if !self.cache.restore_from(&snapshot.cache) {
+            return false;
+        }
+        self.cycles = snapshot.cycles;
+        self.ops = snapshot.ops;
+        true
     }
 
     /// The backing cache's statistics.
@@ -243,6 +258,52 @@ mod tests {
         e.op(&[Access::read(Addr(0), 32, VarClass::Hot)]);
         e.reset();
         assert_eq!(e.report(), BandwidthReport::default());
+    }
+
+    #[test]
+    fn zero_op_commit_leaves_engine_non_pristine() {
+        let mut e = SimdEngine::new(CacheConfig::paper_default()).unwrap();
+        assert!(e.is_pristine());
+        e.commit_accesses(0, &[Access::read(Addr(0), 32, VarClass::Hot)]);
+        assert_eq!(e.report().ops, 0);
+        assert!(!e.is_pristine(), "the cache was touched without counting an op");
+        e.reset();
+        assert!(e.is_pristine());
+    }
+
+    #[test]
+    fn restored_engine_continues_like_the_original() {
+        let cfg = CacheConfig::paper_default();
+        let stream: Vec<Access> = (0..3000u64)
+            .map(|i| match i % 3 {
+                0 => Access::read(Addr(i * 40 % 60_000), 32, VarClass::Hot),
+                1 => Access::read(Addr(0x10_0000 + i * 8), 32, VarClass::Cold),
+                _ => Access::write(Addr(0x20_0000 + (i % 512) * 4), 4, VarClass::Output),
+            })
+            .collect();
+        let (head, tail) = stream.split_at(1500);
+        let mut original = SimdEngine::new(cfg.clone()).unwrap();
+        let mut restored = SimdEngine::new(cfg.clone()).unwrap();
+        for a in head {
+            original.op(core::slice::from_ref(a));
+        }
+        // Unrelated earlier state must be overwritten, line buffer included.
+        for a in tail {
+            restored.op(core::slice::from_ref(a));
+        }
+        assert!(restored.restore_from(&original));
+        for a in tail {
+            original.op(core::slice::from_ref(a));
+            restored.op(core::slice::from_ref(a));
+        }
+        assert_eq!(restored.report(), original.report());
+        assert_eq!(restored.cache_stats(), original.cache_stats());
+        assert_eq!(restored.cache().line_states(), original.cache().line_states());
+
+        let other = CacheConfig { capacity_bytes: 16 * 1024, ways: 4, ..cfg };
+        let mut e = SimdEngine::new(other).unwrap();
+        assert!(!e.restore_from(&original), "another geometry is refused");
+        assert!(e.is_pristine(), "a refused restore leaves the engine untouched");
     }
 
     #[test]

@@ -54,7 +54,7 @@ mod probe;
 mod reuse;
 
 pub use access::{Access, AccessKind, Addr, VarClass};
-pub use batch::{run_batch, run_buffered, BatchSink};
+pub use batch::{run_buffered, BatchSink};
 pub use block::AccessBlock;
 pub use cache::{
     Cache, CacheConfig, CacheConfigError, CacheStats, LineState, ProbePath, ReplacementPolicy,

@@ -2,36 +2,15 @@
 //! independent traces through [`SimdEngine::commit_block`] — in any chunk
 //! partition, in any round-robin order — must leave every engine with the
 //! same counters AND the same cache line states as running its trace
-//! alone, and the public [`run_batch`] entry point must match N
-//! sequential [`Workload::run`] calls stat for stat.
+//! alone.
 
 use proptest::prelude::*;
-use pudiannao_memsim::kernels::{run_fresh, TraceSink};
-use pudiannao_memsim::{
-    run_batch, Access, AccessBlock, AccessKind, Addr, CacheConfig, KernelStats, SimdEngine,
-    Technique, VarClass, Workload,
-};
+use pudiannao_memsim::{Access, AccessBlock, AccessKind, Addr, CacheConfig, SimdEngine, VarClass};
 
-/// A workload that replays a recorded op list — the arbitrary-trace stand-in
-/// for the tiled kernels.
+/// A recorded op list — the arbitrary-trace stand-in for the tiled
+/// kernels.
 struct Replay {
     ops: Vec<Vec<Access>>,
-}
-
-impl Workload for Replay {
-    fn name(&self) -> &'static str {
-        "replay"
-    }
-
-    fn technique(&self) -> Technique {
-        Technique::Knn
-    }
-
-    fn trace(&self, sink: &mut dyn TraceSink) {
-        for op in &self.ops {
-            sink.op(op);
-        }
-    }
 }
 
 const CLASSES: [VarClass; 4] = [VarClass::Hot, VarClass::Cold, VarClass::Output, VarClass::Stream];
@@ -65,8 +44,7 @@ proptest! {
     /// Round-robin interleaving of chunked `commit_block` calls across N
     /// engines is invisible: each engine ends bit-identical (stats, line
     /// states, bandwidth report) to a sequential per-op run of its own
-    /// trace, and `run_batch` over the same workloads returns the same
-    /// stats as N sequential fresh runs.
+    /// trace.
     #[test]
     fn interleaved_batch_matches_sequential(
         workloads in proptest::collection::vec(any_workload(), 2..5),
@@ -129,12 +107,5 @@ proptest! {
             prop_assert_eq!(soa.cache_stats(), sequential.cache_stats(), "engine {} SoA stats", i);
             prop_assert_eq!(states(soa), states(sequential), "engine {} SoA line states", i);
         }
-
-        // Public entry point: stats match N sequential fresh runs.
-        let refs: Vec<&dyn Workload> = workloads.iter().map(|w| w as &dyn Workload).collect();
-        let batched_stats = run_batch(&cfg, &refs);
-        let sequential_stats: Vec<KernelStats> =
-            workloads.iter().map(|w| run_fresh(w, &cfg)).collect();
-        prop_assert_eq!(batched_stats, sequential_stats);
     }
 }

@@ -27,7 +27,18 @@
 //! from the cumulative cycle counter only after the leg — so every
 //! sha-pinned report stays byte-identical with the cache on or off.
 //!
+//! A batch's first leg runs on a just-reset engine, so the engine state
+//! it leaves behind is a pure function of the template as well. The first
+//! time a recorded template is replayed on a pristine engine
+//! ([`SimdEngine::is_pristine`]), the cache keeps a clone of the engine
+//! afterwards, about 10 KB at the paper geometry; later batch heads
+//! restore it with [`SimdEngine::restore_from`], a plain copy, instead of
+//! replaying the block. A snapshot taken on another cache configuration
+//! is refused, and the leg replays the block as usual.
+//!
 //! [`SimdEngine::commit_block`]: pudiannao_memsim::SimdEngine::commit_block
+//! [`SimdEngine::is_pristine`]: pudiannao_memsim::SimdEngine::is_pristine
+//! [`SimdEngine::restore_from`]: pudiannao_memsim::SimdEngine::restore_from
 
 use pudiannao_codegen::phases::Phase;
 use pudiannao_memsim::kernels::{ct, dnn, kmeans, knn, linreg, nb, svm, TraceSink};
@@ -83,8 +94,10 @@ impl ServingCatalog {
 enum Slot {
     /// Never executed through this cache yet.
     Empty,
-    /// Recorded; legs replay this packed block.
-    Ready(AccessBlock),
+    /// Recorded; legs replay `block`. `head` is the engine as the slot's
+    /// first replay from reset left it, once that replay has happened;
+    /// later batch heads restore it instead of replaying.
+    Ready { block: AccessBlock, head: Option<Box<SimdEngine>> },
     /// Recording would overflow the arena budget; legs for this slot
     /// generate fresh forever (bounded memory beats caching the giants).
     TooBig,
@@ -105,6 +118,8 @@ pub struct TraceCacheStats {
     /// Legs that generated their trace fresh (first use or over-budget).
     pub misses: u64,
     /// Accounted bytes of recorded blocks resident across the caches.
+    /// Batch-head snapshots (at most one engine clone per slot) are not
+    /// counted.
     pub resident_bytes: u64,
     /// Slots holding a replayable block.
     pub ready_slots: u64,
@@ -176,8 +191,10 @@ impl TraceCache {
         }
     }
 
-    /// Executes one `(phase, tier)` leg through `engine`: replaying the
-    /// recorded block on a hit, recording on first use, and generating
+    /// Executes one `(phase, tier)` leg through `engine`. On a hit it
+    /// restores the slot's batch-head snapshot when `engine` is pristine
+    /// (taking the snapshot on the first such hit) and replays the
+    /// recorded block otherwise; it records on first use, and generates
     /// fresh (via `scratch`, chunked) for over-budget templates.
     /// Counter-identical to streaming `catalog.get(phase, tier)` through
     /// a [`BatchSink`].
@@ -190,10 +207,20 @@ impl TraceCache {
         scratch: &mut AccessBlock,
     ) {
         let idx = slot_index(phase, tier);
-        match &self.slots[idx] {
-            Slot::Ready(block) => {
+        match &mut self.slots[idx] {
+            Slot::Ready { block, head } => {
                 self.hits += 1;
-                engine.commit_block(block);
+                if !engine.is_pristine() {
+                    engine.commit_block(block);
+                } else if let Some(snapshot) = head {
+                    if !engine.restore_from(snapshot) {
+                        // Taken on another cache configuration.
+                        engine.commit_block(block);
+                    }
+                } else {
+                    engine.commit_block(block);
+                    *head = Some(Box::new(engine.clone()));
+                }
             }
             Slot::TooBig => {
                 self.misses += 1;
@@ -209,7 +236,7 @@ impl TraceCache {
                 let cost = recording.len() * ENTRY_BYTES;
                 if self.used_bytes + cost <= self.budget_bytes {
                     self.used_bytes += cost;
-                    self.slots[idx] = Slot::Ready(recording);
+                    self.slots[idx] = Slot::Ready { block: recording, head: None };
                 } else {
                     self.slots[idx] = Slot::TooBig;
                 }
@@ -224,7 +251,7 @@ impl TraceCache {
         let mut too_big = 0;
         for s in &self.slots {
             match s {
-                Slot::Ready(_) => ready += 1,
+                Slot::Ready { .. } => ready += 1,
                 Slot::TooBig => too_big += 1,
                 Slot::Empty => {}
             }

@@ -8,47 +8,55 @@
 //! writing `repro_summary.json`) produce byte-identical output whether the
 //! jobs ran sequentially or on any number of workers.
 //!
-//! The worker count defaults to the machine's available parallelism and
+//! The worker budget defaults to the machine's available parallelism and
 //! can be capped (or forced to 1) with the `REPRO_THREADS` environment
-//! variable. With one worker the jobs run inline on the calling thread —
-//! no threads are spawned at all.
+//! variable. The budget is resolved once per process, on first use, so
+//! changing `REPRO_THREADS` mid-process has no effect: the fleet asks for
+//! it on every event-loop iteration, and looking up the hardware default
+//! (cgroup file reads plus an affinity syscall) each time would dominate
+//! the loop. With one worker, or at most one job, the jobs run inline on
+//! the calling thread — no threads are spawned at all.
 //!
 //! Only *result order* is deterministic: jobs that print to stdout may
 //! interleave their lines when more than one worker runs.
 
+use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, Once};
+use std::sync::{Mutex, OnceLock};
 
 /// Parses a `REPRO_THREADS`-style value: a positive worker count, or
-/// `None` when unset or invalid. An invalid value is reported loudly on
-/// stderr (once per process) instead of silently falling back — a typo'd
+/// `None` when the value is not one.
+fn parse_threads(raw: &str) -> Option<usize> {
+    raw.trim().parse::<usize>().ok().filter(|&n| n > 0)
+}
+
+/// The process's worker budget: `REPRO_THREADS` if it is a valid count,
+/// otherwise the machine's available parallelism; resolved on first use.
+/// An invalid value is reported loudly on stderr (once, since the budget
+/// is resolved once) instead of silently falling back — a typo'd
 /// `REPRO_THREADS=fulll` should not quietly change the worker count.
-fn parse_threads(raw: Option<&str>) -> Option<usize> {
-    let raw = raw?;
-    match raw.trim().parse::<usize>() {
-        Ok(n) if n > 0 => Some(n),
-        _ => {
-            static WARN_ONCE: Once = Once::new();
-            WARN_ONCE.call_once(|| {
-                eprintln!(
-                    "warning: ignoring invalid REPRO_THREADS={raw:?} \
-                     (expected a positive integer); using the hardware default"
-                );
-            });
-            None
+fn budget() -> usize {
+    static BUDGET: OnceLock<usize> = OnceLock::new();
+    *BUDGET.get_or_init(|| {
+        if let Ok(raw) = std::env::var("REPRO_THREADS") {
+            if let Some(n) = parse_threads(&raw) {
+                return n;
+            }
+            eprintln!(
+                "warning: ignoring invalid REPRO_THREADS={raw:?} \
+                 (expected a positive integer); using the hardware default"
+            );
         }
-    }
+        std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
+    })
 }
 
 /// The number of workers [`run_indexed`] will use for `jobs` jobs: the
-/// `REPRO_THREADS` override if set (and a positive integer), otherwise
-/// the machine's available parallelism, never more than the job count and
-/// never less than 1.
+/// process's worker budget, never more than the job count and never
+/// less than 1.
 #[must_use]
 pub fn worker_count(jobs: usize) -> usize {
-    let hardware = std::thread::available_parallelism().map(std::num::NonZeroUsize::get);
-    let env = std::env::var("REPRO_THREADS").ok();
-    parse_threads(env.as_deref()).unwrap_or_else(|| hardware.unwrap_or(1)).min(jobs.max(1))
+    budget().min(jobs.max(1))
 }
 
 /// Runs every job and returns the results in the jobs' original order.
@@ -104,12 +112,12 @@ mod tests {
 
     #[test]
     fn parse_threads_accepts_positive_integers_only() {
-        assert_eq!(parse_threads(Some("4")), Some(4));
-        assert_eq!(parse_threads(Some(" 2 ")), Some(2));
-        assert_eq!(parse_threads(Some("0")), None);
-        assert_eq!(parse_threads(Some("-3")), None);
-        assert_eq!(parse_threads(Some("lots")), None);
-        assert_eq!(parse_threads(None), None);
+        assert_eq!(parse_threads("4"), Some(4));
+        assert_eq!(parse_threads(" 2 "), Some(2));
+        assert_eq!(parse_threads("0"), None);
+        assert_eq!(parse_threads("-3"), None);
+        assert_eq!(parse_threads("lots"), None);
+        assert_eq!(parse_threads(""), None);
     }
 
     #[test]

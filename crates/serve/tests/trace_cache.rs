@@ -42,30 +42,69 @@ fn assert_engines_equal(cached: &SimdEngine, fresh: &SimdEngine, what: &str) {
     assert_eq!(states(cached), states(fresh), "{what}: line states");
 }
 
-/// Every `(phase, tier)` leg, run twice — once recording, once replaying
-/// — matches two fresh generations of the same trace. Small tiers cover
-/// all 39 slots; the Large tier of each phase is the biggest template,
-/// so it exercises the recording path hardest.
+/// Every `(phase, tier)` leg, run through each path the cache has,
+/// matches the same legs generated fresh: recording, a replay, a batch
+/// head on a reset engine (which takes the snapshot), a second batch head
+/// (which restores it) and a replay continuing from the restored state.
+/// Small tiers cover all 39 slots; the Large tier of each phase is the
+/// biggest template, so it exercises the recording path hardest.
 #[test]
 fn cached_replay_matches_fresh_generation() {
     let catalog = ServingCatalog::paper_default();
+    // Each leg, and whether it heads a batch (runs on a reset engine).
+    let legs = [
+        ("recording", false),
+        ("replay", false),
+        ("snapshotting batch head", true),
+        ("restoring batch head", true),
+        ("replay after restore", false),
+    ];
     for phase in Phase::ALL {
         for tier in [SizeTier::Small, SizeTier::Large] {
             let mut cache = TraceCache::new(TRACE_CACHE_BYTES);
             let mut buf = scratch();
             let mut cached = engine();
             let mut fresh = engine();
-            // First leg: the cache records while committing.
-            cache.execute(&catalog, phase, tier, &mut cached, &mut buf);
-            fresh_leg(&catalog, phase, tier, &mut fresh);
-            assert_engines_equal(&cached, &fresh, &format!("{phase:?}/{tier:?} recording leg"));
-            // Second leg: the cache replays the recorded block.
-            cache.execute(&catalog, phase, tier, &mut cached, &mut buf);
-            fresh_leg(&catalog, phase, tier, &mut fresh);
-            assert_engines_equal(&cached, &fresh, &format!("{phase:?}/{tier:?} replay leg"));
+            for (leg, batch_head) in legs {
+                if batch_head {
+                    cached.reset();
+                    fresh.reset();
+                }
+                cache.execute(&catalog, phase, tier, &mut cached, &mut buf);
+                fresh_leg(&catalog, phase, tier, &mut fresh);
+                assert_engines_equal(&cached, &fresh, &format!("{phase:?}/{tier:?} {leg} leg"));
+            }
             let stats = cache.stats();
-            assert_eq!((stats.hits, stats.misses), (1, 1), "{phase:?}/{tier:?} counters");
+            assert_eq!((stats.hits, stats.misses), (4, 1), "{phase:?}/{tier:?} counters");
             assert_eq!((stats.ready_slots, stats.too_big_slots), (1, 0));
+        }
+    }
+}
+
+/// One cache serving engines of two geometries on the same 64-byte line:
+/// a batch-head snapshot taken on the paper geometry is refused by a
+/// 16 KB 4-way engine, whose batch heads replay the block instead and
+/// still match fresh generation.
+#[test]
+fn batch_head_snapshot_falls_back_on_another_geometry() {
+    let catalog = ServingCatalog::paper_default();
+    let other = CacheConfig { capacity_bytes: 16 * 1024, ways: 4, ..CacheConfig::paper_default() };
+    let tier = SizeTier::Small;
+    for phase in Phase::ALL {
+        let mut cache = TraceCache::new(TRACE_CACHE_BYTES);
+        let mut buf = scratch();
+        // Record, then snapshot a batch head, on the paper geometry.
+        let mut paper = engine();
+        for _ in 0..2 {
+            paper.reset();
+            cache.execute(&catalog, phase, tier, &mut paper, &mut buf);
+        }
+        for head in 0..2 {
+            let mut cached = SimdEngine::new(other.clone()).expect("valid config");
+            let mut fresh = SimdEngine::new(other.clone()).expect("valid config");
+            cache.execute(&catalog, phase, tier, &mut cached, &mut buf);
+            fresh_leg(&catalog, phase, tier, &mut fresh);
+            assert_engines_equal(&cached, &fresh, &format!("{phase:?} 16 KB 4-way head {head}"));
         }
     }
 }
