@@ -11,9 +11,14 @@
 # untouched. Run scripts/bench.sh first (it writes BENCH_repro.json),
 # then this script, and commit both.
 #
-# Usage: scripts/perf_table.sh
+# Usage: scripts/perf_table.sh           # rewrite the tables in place
+#        scripts/perf_table.sh --check   # regenerate into temp copies and
+#                                        # fail on any difference (drift gate)
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+check=0
+[[ "${1:-}" == "--check" ]] && check=1
 
 json=BENCH_repro.json
 if [[ ! -s "$json" ]]; then
@@ -70,6 +75,7 @@ table=$(cat <<EOF
 EOF
 )
 
+drift=0
 splice() {
     local doc="$1"
     if ! grep -q 'perf-table:begin' "$doc"; then
@@ -83,11 +89,29 @@ splice() {
         /perf-table:end/ { skipping = 0 }
         !skipping { print }
     ' "$doc" > "$tmp"
-    mv "$tmp" "$doc"
-    echo "updated $doc"
+    if [[ $check -eq 0 ]]; then
+        mv "$tmp" "$doc"
+        echo "updated $doc"
+    elif cmp -s "$tmp" "$doc"; then
+        rm -f "$tmp"
+        echo "$doc matches $json"
+    else
+        echo "error: the perf table in $doc differs from what $json regenerates:" >&2
+        diff -u "$doc" "$tmp" >&2 || true
+        rm -f "$tmp"
+        drift=1
+    fi
 }
 
 splice README.md
 splice DESIGN.md
 splice ROADMAP.md
-echo "OK: perf tables regenerated from $json"
+if [[ $check -eq 1 ]]; then
+    if [[ $drift -ne 0 ]]; then
+        echo "error: perf tables drifted; run scripts/perf_table.sh and commit the docs" >&2
+        exit 1
+    fi
+    echo "OK: perf tables match $json"
+else
+    echo "OK: perf tables regenerated from $json"
+fi
