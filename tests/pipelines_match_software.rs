@@ -10,6 +10,8 @@ use pudiannao::datasets::synth;
 use pudiannao::mlkit::{dnn, svm, Precision};
 use pudiannao::softfp::NonLinearFn;
 
+mod common;
+
 #[test]
 fn mlp_forward_on_accelerator_matches_mlkit() {
     // Train a small sigmoid MLP in software, export its weights, and run
@@ -77,6 +79,13 @@ fn mlp_forward_on_accelerator_matches_mlkit() {
             );
         }
     }
+    // Every hidden and output activation the program wrote.
+    let written = (at - act_bases[1]) as usize;
+    assert_eq!(
+        common::fnv1a(dram.slice(act_bases[1], written)),
+        0x9ab2_8be1_e500_aa8e,
+        "MLP activation words moved"
+    );
 }
 
 #[test]
@@ -145,6 +154,9 @@ fn svm_prediction_on_accelerator_matches_mlkit_decision() {
             .sum();
         assert!((got - expect).abs() < 0.05, "query {q}: accelerator {got} vs software {expect}");
     }
+    let mut words = dram.read_f32(200_000, n_q * n_sv);
+    words.extend_from_slice(dram.slice(400_000, n_q));
+    assert_eq!(common::fnv1a(&words), 0x5d9f_7e86_e968_ed7b, "SVM kernel and decision words moved");
 }
 
 #[test]
@@ -207,4 +219,11 @@ fn full_lloyd_iteration_on_accelerator() {
             assert!((g - expect).abs() < 1e-5, "centroid {c} coord {j}: {g} vs {expect}");
         }
     }
+    let mut words = dram.read_f32(50_000, 256 * 2);
+    words.extend_from_slice(dram.slice(80_000, 4 * 8));
+    assert_eq!(
+        common::fnv1a(&words),
+        0x6045_f2f9_78a6_542c,
+        "Lloyd assignment and centroid words moved"
+    );
 }
