@@ -4,7 +4,7 @@
 #   scripts/check.sh             # full gate
 #   scripts/check.sh --fast      # skip the release build
 #   scripts/check.sh --bench     # hot-path timings + parallel-determinism check
-#   scripts/check.sh --faults    # fixed-seed fault-campaign smoke + pinned outcomes
+#   scripts/check.sh --faults    # fault-campaign smoke + pinned outcomes + committed full report
 #   scripts/check.sh --profile   # timeline smoke + pinned bottleneck verdicts
 #   scripts/check.sh --perf-gate # per-phase cycle/energy regression gate
 #   scripts/check.sh --serve     # serving-fleet smoke + pinned admission counts
@@ -120,6 +120,14 @@ EOF
         --out "$tmp/par.json" >/dev/null
     cmp "$tmp/seq.json" "$tmp/par.json"
     echo "    fault_campaign.json byte-identical"
+
+    # The committed report is the full campaign's output: a fresh run must
+    # reproduce it byte for byte, pinning the outcome classification of
+    # every arm, rate and kernel (regenerate deliberately, never silently).
+    echo "==> full campaign vs committed fault_campaign.json"
+    ./target/release/fault_campaign --out "$tmp/full.json" >/dev/null
+    cmp fault_campaign.json "$tmp/full.json"
+    echo "    committed fault_campaign.json reproduced"
 
     echo "OK: fault campaign smoke passed"
     exit 0
