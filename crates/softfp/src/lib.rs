@@ -22,7 +22,9 @@
 //!   compile-time 64 Ki-entry table, `from_f32` takes a single branch for
 //!   every normal result, and [`batch`] fuses whole-slice conversions —
 //!   all bit-identical to the scalar reference paths (`from_f32_scalar`,
-//!   `to_f32_scalar`), proven by exhaustive tests.
+//!   `to_f32_scalar`), proven by exhaustive tests. [`quantize`] rounds an
+//!   `f32` onto the binary16 grid without a table or a branch, for loops
+//!   that process many lanes at once.
 //! - [`InterpTable`] — the Misc stage's linear-interpolation unit, with
 //!   ready-made tables for sigmoid, tanh, exp, and the Gaussian kernel.
 //! - [`taylor_log1m`] / [`taylor_ln`] — the ALU's Taylor-series logarithm.
@@ -52,6 +54,6 @@ pub mod int_path;
 mod interp;
 mod taylor;
 
-pub use f16::F16;
+pub use f16::{quantize, F16};
 pub use interp::{InterpError, InterpTable, NonLinearFn};
 pub use taylor::{taylor_ln, taylor_log1m, taylor_log2};

@@ -1,12 +1,12 @@
 //! Equivalence proofs for the fast binary16 conversion paths.
 //!
-//! `F16::to_f32` is a 64 Ki-entry lookup table and `F16::from_f32` is a
-//! branch-reduced integer rounder; both must be *bit-identical* to the
-//! scalar reference implementations (`to_f32_scalar`, `from_f32_scalar`)
-//! on every input. These are named unit tests (not proptest) so a failure
+//! `F16::to_f32` is a 64 Ki-entry lookup table, `F16::from_f32` is a
+//! branch-reduced integer rounder and `quantize` rounds on the FPU; all
+//! must be *bit-identical* to the scalar reference implementations
+//! (`to_f32_scalar`, `from_f32_scalar`) on every input. These are named unit tests (not proptest) so a failure
 //! points at the exact input class that regressed.
 
-use pudiannao_softfp::{batch, F16};
+use pudiannao_softfp::{batch, quantize, F16};
 
 /// Every one of the 2^16 bit patterns widens identically through the LUT
 /// and the scalar path — including NaN payloads, compared on bits.
@@ -36,12 +36,21 @@ fn round_trip_all_65536_patterns() {
     }
 }
 
+/// Checks both fast roundings of `bits` against the scalar reference:
+/// `F16::from_f32` on binary16 bits, and `quantize` on the widened `f32`
+/// bits (so NaNs compare by payload and zeros by sign).
 fn assert_from_f32_matches(bits: u32) {
     let x = f32::from_bits(bits);
+    let want = F16::from_f32_scalar(x);
     assert_eq!(
         F16::from_f32(x).to_bits(),
-        F16::from_f32_scalar(x).to_bits(),
+        want.to_bits(),
         "from_f32 fast path diverges from scalar at f32 bits 0x{bits:08X} ({x})"
+    );
+    assert_eq!(
+        quantize(x).to_bits(),
+        want.to_f32_scalar().to_bits(),
+        "quantize diverges from scalar at f32 bits 0x{bits:08X} ({x})"
     );
 }
 
@@ -143,6 +152,31 @@ fn from_f32_overflow_edges() {
     assert_eq!(F16::from_f32(1e9).to_bits(), 0x7C00);
     assert_eq!(F16::from_f32(f32::INFINITY).to_bits(), 0x7C00);
     assert_eq!(F16::from_f32(f32::NAN).to_bits(), 0x7E00);
+}
+
+/// Named special values for `quantize`: signed zeros keep their sign,
+/// every NaN (the sign bit set included) becomes the positive canonical
+/// quiet NaN, infinities pass through, and the overflow tie goes to
+/// infinity of the input's sign.
+#[test]
+fn quantize_special_values() {
+    let canonical_nan = F16::NAN.to_f32_scalar().to_bits();
+    assert_eq!(canonical_nan, 0x7FC0_0000);
+    let cases: [(u32, u32); 8] = [
+        ((-0.0f32).to_bits(), 0x8000_0000),
+        (0.0f32.to_bits(), 0x0000_0000),
+        (0xFFC0_0001, canonical_nan), // negative NaN with a payload
+        (0x7F80_0001, canonical_nan), // signalling NaN
+        (f32::INFINITY.to_bits(), f32::INFINITY.to_bits()),
+        (f32::NEG_INFINITY.to_bits(), f32::NEG_INFINITY.to_bits()),
+        (65520.0f32.to_bits(), f32::INFINITY.to_bits()),
+        ((-65520.0f32).to_bits(), f32::NEG_INFINITY.to_bits()),
+    ];
+    for (input, want) in cases {
+        let x = f32::from_bits(input);
+        assert_eq!(quantize(x).to_bits(), want, "quantize(0x{input:08X})");
+        assert_from_f32_matches(input);
+    }
 }
 
 /// The batch slice APIs agree elementwise with the scalar conversions on
