@@ -7,9 +7,11 @@
 //! callers never loop over scalars themselves (and the compiler sees one
 //! tight, unrollable loop). All of them round exactly like
 //! [`F16::from_f32`] / [`F16::to_f32`] — the equivalence tests pin each
-//! batch function to its scalar counterpart elementwise.
+//! batch function to its scalar counterpart elementwise. The two
+//! quantisers round through [`quantize`], which needs no table lookup and
+//! vectorises.
 
-use crate::F16;
+use crate::{quantize, F16};
 
 /// Rounds every element through binary16 in place: `x = to_f32(from_f32(x))`.
 ///
@@ -17,7 +19,7 @@ use crate::F16;
 /// to a whole row.
 pub fn quantize_f32_slice(values: &mut [f32]) {
     for v in values {
-        *v = F16::from_f32(*v).to_f32();
+        *v = quantize(*v);
     }
 }
 
@@ -29,7 +31,7 @@ pub fn quantize_f32_slice(values: &mut [f32]) {
 pub fn quantize_f32_into(src: &[f32], dst: &mut [f32]) {
     assert_eq!(src.len(), dst.len(), "quantize_f32_into needs equal lengths");
     for (d, &s) in dst.iter_mut().zip(src) {
-        *d = F16::from_f32(s).to_f32();
+        *d = quantize(s);
     }
 }
 
