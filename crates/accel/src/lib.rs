@@ -25,7 +25,7 @@
 //!   (3.51 mm², 596 mW, 0.99 ns critical path) as model constants.
 //! - [`trace`] — the observability layer: every run returns a
 //!   [`RunReport`] (statistics + configuration fingerprint, JSON
-//!   exportable), and [`Accelerator::enable_trace`] adds per-buffer
+//!   exportable), and [`AcceleratorBuilder::trace`] adds per-buffer
 //!   activity counters, ALU op classification, and a bounded event ring
 //!   without perturbing the statistics.
 //! - [`profile`] — timeline export (Chrome Trace Event JSON from the

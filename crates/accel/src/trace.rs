@@ -17,8 +17,9 @@
 //! ```
 //! use pudiannao_accel::{isa, Accelerator, ArchConfig, Dram, TraceConfig};
 //!
-//! let mut accel = Accelerator::new(ArchConfig::paper_default())?;
-//! accel.enable_trace(TraceConfig::full());
+//! let mut accel = Accelerator::builder(ArchConfig::paper_default())
+//!     .trace(TraceConfig::full())
+//!     .build()?;
 //! let program = isa::Program::builder()
 //!     .instruction(
 //!         isa::Instruction::builder("dot")

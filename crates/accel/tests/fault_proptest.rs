@@ -92,8 +92,8 @@ proptest! {
             hardening: hardening(hardening_pick),
         };
         let run = || {
-            let mut accel = Accelerator::new(ArchConfig::paper_default()).unwrap();
-            accel.enable_faults(config);
+            let mut accel =
+                Accelerator::builder(ArchConfig::paper_default()).faults(config).build().unwrap();
             let mut dram = Dram::new(1 << 16);
             accel.run(&program, &mut dram).map(|r| {
                 (r.stats.cycles, r.fault.expect("faults enabled").injected_total())
@@ -116,11 +116,13 @@ proptest! {
     fn certain_fetch_corruption_is_always_detected(seed in 0u64..500) {
         let inst = arbitrary_instruction(0, 0, 16, 2, 16, 2, 2, 0);
         let program = Program::new(vec![inst]).unwrap();
-        let mut accel = Accelerator::new(ArchConfig::paper_default()).unwrap();
-        accel.enable_faults(FaultConfig {
-            plan: FaultPlan { ifetch_corruption_rate: 1.0, ..FaultPlan::quiet(seed) },
-            hardening: Hardening { ifetch_checksum: true, ..Hardening::default() },
-        });
+        let mut accel = Accelerator::builder(ArchConfig::paper_default())
+            .faults(FaultConfig {
+                plan: FaultPlan { ifetch_corruption_rate: 1.0, ..FaultPlan::quiet(seed) },
+                hardening: Hardening { ifetch_checksum: true, ..Hardening::default() },
+            })
+            .build()
+            .unwrap();
         let err = accel.run(&program, &mut Dram::new(1 << 16)).unwrap_err();
         prop_assert!(err.is_fault_detection(), "{:?}", err);
     }

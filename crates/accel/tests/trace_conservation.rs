@@ -53,8 +53,8 @@ proptest! {
     #[test]
     fn stage_cycles_conserve_compute_time(shapes in program_shapes()) {
         let (program, mut dram) = build(&shapes);
-        let mut accel = Accelerator::new(ArchConfig::paper_default()).unwrap();
-        accel.enable_trace(TraceConfig::counters());
+        let mut accel =
+            Accelerator::builder(ArchConfig::paper_default()).trace(TraceConfig::counters()).build().unwrap();
         let report = accel.run(&program, &mut dram).unwrap();
         let s = &report.stats;
         prop_assert_eq!(s.stage_cycles.total(), s.compute_cycles);
@@ -72,8 +72,8 @@ proptest! {
     #[test]
     fn buffer_counters_match_instruction_stream(shapes in program_shapes()) {
         let (program, mut dram) = build(&shapes);
-        let mut accel = Accelerator::new(ArchConfig::paper_default()).unwrap();
-        accel.enable_trace(TraceConfig::counters());
+        let mut accel =
+            Accelerator::builder(ArchConfig::paper_default()).trace(TraceConfig::counters()).build().unwrap();
         let report = accel.run(&program, &mut dram).unwrap();
         let trace = report.trace.as_ref().expect("tracing enabled");
 
@@ -119,8 +119,7 @@ proptest! {
             .unwrap()
             .run(&program, &mut dram_plain)
             .unwrap();
-        let mut traced_accel = Accelerator::new(cfg).unwrap();
-        traced_accel.enable_trace(TraceConfig::full());
+        let mut traced_accel = Accelerator::builder(cfg).trace(TraceConfig::full()).build().unwrap();
         let traced = traced_accel.run(&program, &mut dram_traced).unwrap();
 
         prop_assert_eq!(&plain.stats, &traced.stats);

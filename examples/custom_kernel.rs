@@ -104,8 +104,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     print!("{}", disasm::listing(&program, 10, 0));
 
     let config = ArchConfig::paper_default();
-    let mut accel = Accelerator::new(config.clone())?;
-    accel.enable_trace(TraceConfig::counters());
+    let mut accel = Accelerator::builder(config.clone()).trace(TraceConfig::counters()).build()?;
     let report = accel.run(&program, &mut dram)?;
     println!("\n{}\n", report.stats);
     if let Some(trace) = &report.trace {
