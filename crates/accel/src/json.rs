@@ -208,29 +208,37 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest nesting of arrays and objects [`parse`] accepts. The deepest
+/// report the workspace writes nests 7 levels; the limit keeps a hostile
+/// document from overflowing the parser's stack.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document into a [`Value`].
 ///
 /// Integers without a fraction or exponent become [`Value::UInt`] /
 /// [`Value::Int`] (so `u64` counters round-trip exactly); everything else
-/// numeric becomes [`Value::Float`]. Trailing non-whitespace is an error.
+/// numeric becomes [`Value::Float`]. Trailing non-whitespace is an error,
+/// and so is nesting arrays and objects more than 128 levels deep.
 ///
 /// # Errors
 ///
 /// [`ParseError`] with the byte offset of the first violation.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { text: input, pos: 0, depth: 0 };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.text.len() {
         return Err(p.err("trailing characters after the document"));
     }
     Ok(value)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -239,7 +247,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -258,7 +266,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, word: &str, value: Value) -> Result<Value, ParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -272,8 +280,15 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("nesting too deep"));
+                }
+                self.depth += 1;
+                let value = if open == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                value
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
@@ -397,12 +412,14 @@ impl<'a> Parser<'a> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    // Copy the full UTF-8 scalar starting here.
-                    let rest = &self.bytes[self.pos..];
-                    let s = core::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let ch = s.chars().next().ok_or_else(|| self.err("unterminated string"))?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the run of plain characters in one go. It starts
+                    // and ends next to ASCII bytes, so on char boundaries of
+                    // the (valid UTF-8) input.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\' && c >= 0x20) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -434,8 +451,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = core::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number bytes are ASCII by construction");
+        let text = &self.text[start..self.pos];
         if !is_float {
             if let Ok(u) = text.parse::<u64>() {
                 return Ok(Value::UInt(u));
@@ -669,6 +685,42 @@ mod tests {
         }
         let err = parse("[1,]").unwrap_err();
         assert!(err.to_string().contains("byte"));
+    }
+
+    #[test]
+    fn parse_copies_long_raw_strings_in_one_pass() {
+        // Multi-byte characters next to escapes and the closing quote.
+        assert_eq!(parse(r#""é😀\n€""#).unwrap(), Value::from("é😀\n€"));
+        // A megabyte-long string: one pass over it, not one per character.
+        let long = "ab€".repeat(1 << 18);
+        let doc = Value::array(vec![Value::from(long.as_str()), Value::from(1u64)]);
+        assert_eq!(parse(&doc.to_string()).unwrap(), doc);
+    }
+
+    #[test]
+    fn parse_limits_nesting_depth() {
+        let arrays = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        // Deep enough to overflow the stack without the limit.
+        let err = parse(&arrays(100_000)).unwrap_err();
+        assert_eq!(err, ParseError { offset: MAX_DEPTH, message: "nesting too deep" });
+        assert_eq!(parse(&arrays(MAX_DEPTH + 1)).unwrap_err(), err);
+        // A document exactly at the limit parses, every level intact.
+        let mut value = parse(&arrays(MAX_DEPTH)).unwrap();
+        let mut levels = 1;
+        while let Value::Array(mut inner) = value {
+            match inner.pop() {
+                Some(next) => (value, levels) = (next, levels + 1),
+                None => break,
+            }
+        }
+        assert_eq!(levels, MAX_DEPTH);
+        // Objects count as levels too.
+        let objects = |n: usize| "{\"k\":".repeat(n) + "1" + &"}".repeat(n);
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        let err = parse(&format!("[{}]", objects(MAX_DEPTH))).unwrap_err();
+        assert_eq!(err.message, "nesting too deep");
+        // Closed levels free their depth for later siblings.
+        assert!(parse(&format!("[{0},{0}]", arrays(MAX_DEPTH - 1))).is_ok());
     }
 
     #[test]

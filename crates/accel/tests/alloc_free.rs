@@ -63,10 +63,12 @@ fn mode_mix() -> Vec<Instruction> {
         write_dram_addr: store,
     };
     vec![
-        // Distance with the k-sorter (kNN/k-Means).
+        // Distance with the k-sorter (kNN/k-Means). Distance and dot
+        // instructions reduce more than 8 rows, so the groups of adder
+        // trees include a partial one.
         Instruction {
             name: "knn".into(),
-            hot: BufferRead::load(0, 0, 16, 8),
+            hot: BufferRead::load(0, 0, 16, 12),
             cold: BufferRead::load(1000, 0, 16, 2),
             out: OutputSlot::store(2000, 6, 2),
             fu: FuOps::distance(Some(3)),
@@ -75,9 +77,9 @@ fn mode_mix() -> Vec<Instruction> {
         // Plain distance through the interpolation unit (RBF kernel).
         Instruction {
             name: "rbf".into(),
-            hot: BufferRead::load(0, 0, 16, 4),
+            hot: BufferRead::load(0, 0, 16, 9),
             cold: BufferRead::load(1000, 0, 16, 2),
-            out: OutputSlot::store(2100, 4, 2),
+            out: OutputSlot::store(2100, 9, 2),
             fu: {
                 let mut ops = FuOps::distance(None);
                 ops.misc = MiscOp::Interp(NonLinearFn::ExpNeg);
@@ -89,9 +91,18 @@ fn mode_mix() -> Vec<Instruction> {
         Instruction {
             name: "lr".into(),
             hot: BufferRead::load(0, 0, 16, 1),
-            cold: BufferRead::load(1000, 0, 16, 2),
-            out: OutputSlot::store(2200, 1, 2),
+            cold: BufferRead::load(1000, 0, 16, 11),
+            out: OutputSlot::store(2200, 1, 11),
             fu: FuOps::dot_broadcast(Some(NonLinearFn::Sigmoid)),
+            hot_row_base: 0,
+        },
+        // Pairwise dot (SVM kernel matrix, batched layers).
+        Instruction {
+            name: "pairwise".into(),
+            hot: BufferRead::load(0, 0, 16, 10),
+            cold: BufferRead::load(1000, 0, 16, 2),
+            out: OutputSlot::store(2700, 10, 2),
+            fu: FuOps::dot_broadcast(None),
             hot_row_base: 0,
         },
         // Counting (NB training).

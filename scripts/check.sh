@@ -85,6 +85,18 @@ if [[ "${1:-}" == "--perf-gate" ]]; then
     fi
     echo "    synthetic regression correctly rejected"
 
+    echo "==> self-check: a hostile last record (100,000 nested arrays) must exit 2, not crash"
+    hostile="$(mktemp)"
+    trap 'rm -f "$hostile"' EXIT
+    { printf '%100000s' '' | tr ' ' '['; printf '%100000s\n' '' | tr ' ' ']'; } > "$hostile"
+    status=0
+    ./target/release/perf_diff --check --history "$hostile" >/dev/null 2>&1 || status=$?
+    if [[ $status -ne 2 ]]; then
+        echo "error: perf_diff exited $status on the hostile record, not 2" >&2
+        exit 1
+    fi
+    echo "    hostile record rejected as invalid JSON"
+
     echo "OK: perf gate passed"
     exit 0
 fi
