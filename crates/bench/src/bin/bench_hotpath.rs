@@ -7,11 +7,10 @@
 //! left enabled — the timed quantity is the full experiment, exactly
 //! what `repro_all` runs. Softfp kernels are timed over fixed sweeps and
 //! reported in nanoseconds per conversion, and the memsim section times
-//! the cache's scalar vs coalesced vs batched (`access_block`) paths, the
-//! SoA block pass (`access_soa`, with a forced SWAR-vs-`std::arch` probe
-//! comparison on the same packed stream) and the batched multi-trace
-//! executor, plus the engine-build-vs-reset cost that motivates the
-//! locality engine pool. Cache-path rounds are scored
+//! the cache's two paths on the same stream — the per-access reference
+//! (`Cache::access`) and the SoA block pass (`access_soa`) — and the
+//! batched multi-trace executor, plus the engine-build-vs-reset cost that
+//! motivates the locality engine pool. Cache-path rounds are scored
 //! best-of (the host is a shared single core; the minimum round is the
 //! code's speed, the rest is neighbour noise), and every row prints its
 //! percentage change against the previous `BENCH_repro.json` when one is
@@ -20,8 +19,7 @@
 use pudiannao_accel::json::{self, Value};
 use pudiannao_bench::{evaluation, locality, ExperimentReport};
 use pudiannao_memsim::{
-    kernels, Access, AccessBlock, Addr, Cache, CacheConfig, ProbePath, SimdEngine, VarClass,
-    Workload,
+    kernels, Access, AccessBlock, Addr, Cache, CacheConfig, SimdEngine, VarClass, Workload,
 };
 use pudiannao_softfp::{batch, F16};
 use std::hint::black_box;
@@ -158,50 +156,29 @@ fn knn_style_ops() -> Vec<[Access; 3]> {
     ops
 }
 
-/// Times the scalar per-access path, the coalesced [`Cache::access_run`]
-/// path, and the batched [`Cache::access_block`] pass over the same
-/// operand stream; returns `(scalar_ns, coalesced_ns, block_ns, accesses)`
-/// where each time is the best single pass over the stream.
-fn bench_cache_paths(rounds: u32) -> (f64, f64, f64, u64) {
+/// Times the per-access reference path, [`Cache::access`], over the
+/// operand stream; returns `(ns, accesses)` for the best single pass.
+fn bench_cache_access(rounds: u32) -> (f64, u64) {
     let ops = knn_style_ops();
-    let flat: Vec<Access> = ops.iter().flatten().copied().collect();
-    let accesses = flat.len() as u64;
+    let accesses = ops.iter().map(|op| op.len() as u64).sum();
     let mut cache = Cache::new(CacheConfig::paper_default()).expect("valid cache config");
-
-    let scalar_ns = best_of(rounds, || {
+    let ns = best_of(rounds, || {
         cache.reset();
         for op in &ops {
-            for a in op {
-                cache.access_scalar(*a);
+            for &a in op {
+                cache.access(a);
             }
         }
     }) * 1e9;
     black_box(cache.stats());
-
-    let coalesced_ns = best_of(rounds, || {
-        cache.reset();
-        for op in &ops {
-            cache.access_run(op);
-        }
-    }) * 1e9;
-    black_box(cache.stats());
-
-    let block_ns = best_of(rounds, || {
-        cache.reset();
-        cache.access_block(&flat);
-    }) * 1e9;
-    black_box(cache.stats());
-
-    (scalar_ns, coalesced_ns, block_ns, accesses)
+    (ns, accesses)
 }
 
 /// Times the monomorphised SoA pass ([`Cache::access_soa`]) over the
 /// same stream pre-packed into an [`AccessBlock`] — the replay shape the
-/// serving trace-template cache hits — once with the auto-selected probe
-/// and once per forced [`ProbePath`] the host supports, so the SWAR and
-/// `std::arch` tag probes get compared head to head on identical work.
-/// Returns `(soa_ns, [(probe_row_name, ns)], accesses)`.
-fn bench_soa_block(rounds: u32) -> (f64, Vec<(&'static str, f64)>, u64) {
+/// serving trace-template cache hits; returns `(ns, entries)` for the
+/// best single pass.
+fn bench_soa_block(rounds: u32) -> (f64, u64) {
     let ops = knn_style_ops();
     let cfg = CacheConfig::paper_default();
     let mut block = AccessBlock::new(cfg.line_bytes);
@@ -210,27 +187,12 @@ fn bench_soa_block(rounds: u32) -> (f64, Vec<(&'static str, f64)>, u64) {
     }
     let accesses = block.len() as u64;
     let mut cache = Cache::new(cfg).expect("valid cache config");
-
-    let soa_ns = best_of(rounds, || {
+    let ns = best_of(rounds, || {
         cache.reset();
         cache.access_soa(&block);
     }) * 1e9;
     black_box(cache.stats());
-
-    let mut probes = Vec::new();
-    for (name, path) in [("probe_swar", ProbePath::Swar), ("probe_simd", ProbePath::Simd)] {
-        if !cache.force_probe_path(path) {
-            println!("[bench] memsim/{name:<20} unsupported on this host (skipped)");
-            continue;
-        }
-        let ns = best_of(rounds, || {
-            cache.reset();
-            cache.access_soa(&block);
-        }) * 1e9;
-        black_box(cache.stats());
-        probes.push((name, ns));
-    }
-    (soa_ns, probes, accesses)
+    (ns, accesses)
 }
 
 /// Times the batched executor's steady state: three independent tiled
@@ -339,27 +301,10 @@ fn main() {
     }
 
     let mut memsim_rows = Vec::new();
-    let (scalar_ns, coalesced_ns, block_ns, accesses) = bench_cache_paths(60);
-    for (name, ns) in
-        [("cache_scalar", scalar_ns), ("cache_coalesced", coalesced_ns), ("cache_simd", block_ns)]
+    for (name, (ns, accesses)) in
+        [("cache_scalar", bench_cache_access(60)), ("batch_soa", bench_soa_block(60))]
     {
         let maccesses_per_s = accesses as f64 / ns * 1e3;
-        let delta = delta_column(
-            previous_metric(prev, "memsim", "name", name, "maccesses_per_s"),
-            maccesses_per_s,
-        );
-        println!("[bench] memsim/{name:<20} {maccesses_per_s:>8.1} Maccesses/s{delta}");
-        memsim_rows.push(
-            Value::object()
-                .with("name", name)
-                .with("maccesses_per_s", (maccesses_per_s * 1000.0).round() / 1000.0),
-        );
-    }
-    let (soa_ns, probe_rows, soa_accesses) = bench_soa_block(60);
-    let mut soa_and_probes = vec![("batch_soa", soa_ns)];
-    soa_and_probes.extend(probe_rows);
-    for (name, ns) in soa_and_probes {
-        let maccesses_per_s = soa_accesses as f64 / ns * 1e3;
         let delta = delta_column(
             previous_metric(prev, "memsim", "name", name, "maccesses_per_s"),
             maccesses_per_s,

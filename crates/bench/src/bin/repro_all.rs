@@ -3,14 +3,15 @@
 //! Figure-15 phase).
 //!
 //! The experiments are independent, so they run on the
-//! `pudiannao_bench::parallel` worker pool (capped by `REPRO_THREADS`;
+//! `pudiannao_serve::pool` worker pool (capped by `REPRO_THREADS`;
 //! set it to 1 for fully sequential console output). Results are
 //! collected in experiment order, so both JSON files are byte-identical
 //! whatever the worker count — only the interleaving of the progress
 //! lines on stdout changes.
 
 use pudiannao_accel::json::Value;
-use pudiannao_bench::{evaluation, locality, parallel, ExperimentReport};
+use pudiannao_bench::{evaluation, locality, ExperimentReport};
+use pudiannao_serve::pool::{run_indexed, worker_count};
 
 type Job = Box<dyn FnOnce() -> ExperimentReport + Send>;
 
@@ -35,11 +36,11 @@ fn main() {
         Box::new(evaluation::ablation_scaling),
         Box::new(evaluation::time_fractions),
     ];
-    let workers = parallel::worker_count(jobs.len());
+    let workers = worker_count(jobs.len());
     if workers > 1 {
         println!("running {} experiments on {workers} workers", jobs.len());
     }
-    let reports = parallel::run_indexed(jobs);
+    let reports = run_indexed(jobs);
     let json =
         Value::array(reports.iter().map(ExperimentReport::to_json).collect()).to_string_pretty();
     std::fs::write("repro_summary.json", &json).expect("writable working directory");

@@ -12,6 +12,7 @@ use pudiannao_codegen::phases::{model_phase, Phase, Workload};
 use pudiannao_datasets::{synth, train_test_split};
 use pudiannao_mlkit::metrics::{accuracy, cluster_purity, mse};
 use pudiannao_mlkit::{dnn, kmeans, knn, linreg, svm, Precision};
+use pudiannao_serve::pool::run_indexed;
 use pudiannao_softfp::{InterpTable, NonLinearFn};
 
 /// Table 1: training accuracy under all-16-bit vs mixed 32/16-bit
@@ -132,7 +133,7 @@ pub fn table1_precision() -> ExperimentReport {
     for p in [Precision::F32, Precision::F16All, Precision::Mixed] {
         jobs.push(Box::new(move || dnn_acc(p)));
     }
-    let cells = crate::parallel::run_indexed(jobs);
+    let cells = run_indexed(jobs);
     let [s32, s16, smx, k32, k16, kmx, m32, m16, mmx, l32, l16, lmx, d32, d16, dmx] =
         cells.try_into().expect("15 cells");
 
@@ -215,7 +216,7 @@ type PhaseRow = (Phase, f64, f64, f64, f64, f64, f64);
 
 /// The per-phase accelerator/GPU/CPU time and energy table behind
 /// Figures 13, 15 and 16 — computed once and cached, since all three
-/// figures (which may run concurrently on [`crate::parallel`] workers)
+/// figures (which may run concurrently on [`run_indexed`] workers)
 /// read the identical table.
 fn phase_table() -> &'static [PhaseRow] {
     static TABLE: std::sync::OnceLock<Vec<PhaseRow>> = std::sync::OnceLock::new();
@@ -256,7 +257,7 @@ fn phase_table() -> &'static [PhaseRow] {
 /// breakdown in each report sums to that phase's `compute_cycles` (and so
 /// never exceeds its total cycles).
 /// The 13 phase models are independent, so they run on
-/// [`crate::parallel`] workers; results come back in `Phase::ALL` order
+/// [`run_indexed`] workers; results come back in `Phase::ALL` order
 /// regardless of scheduling, so the JSON serialisation is byte-identical
 /// to a sequential run.
 #[must_use]
@@ -273,7 +274,7 @@ pub fn phase_run_reports() -> Vec<RunReport> {
             }
         })
         .collect();
-    crate::parallel::run_indexed(jobs)
+    run_indexed(jobs)
 }
 
 /// The [`phase_run_reports`] as one JSON array, ready to write to disk.

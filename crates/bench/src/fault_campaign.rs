@@ -24,9 +24,9 @@
 //! count.
 //!
 //! Every number in the resulting JSON is a pure function of
-//! [`CampaignConfig`]: trials are parallelised with
-//! [`crate::parallel::run_indexed`], whose results come back in job
-//! order, so the file is byte-identical at any `REPRO_THREADS`.
+//! [`CampaignConfig`]: trials are parallelised with [`run_indexed`],
+//! whose results come back in job order, so the file is byte-identical
+//! at any `REPRO_THREADS`.
 
 use pudiannao_accel::json::Value;
 use pudiannao_accel::{
@@ -37,6 +37,7 @@ use pudiannao_codegen::distance::{DistanceKernel, DistancePlan, DistancePost};
 use pudiannao_codegen::dot::{BroadcastDot, BroadcastPlan};
 use pudiannao_codegen::nb::{NbPredictKernel, NbPredictPlan};
 use pudiannao_codegen::pipelines::{MlpForward, MlpForwardPlan, SvmPredict, SvmPredictPlan};
+use pudiannao_serve::pool::run_indexed;
 use pudiannao_softfp::NonLinearFn;
 
 /// Campaign shape: the seed, the trial count per cell, and the fault
@@ -449,7 +450,7 @@ pub fn run_campaign(config: &CampaignConfig) -> (Value, Vec<(&'static str, Outco
             }
         })
         .collect();
-    let results = crate::parallel::run_indexed(jobs);
+    let results = run_indexed(jobs);
 
     let mut cell_json = Vec::new();
     let mut totals: Vec<(&'static str, OutcomeCounts)> =

@@ -11,7 +11,6 @@
 pub mod evaluation;
 pub mod fault_campaign;
 pub mod locality;
-pub mod parallel;
 pub mod profile;
 
 use pudiannao_accel::json::Value;

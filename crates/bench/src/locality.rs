@@ -1,17 +1,18 @@
 //! Section-2 locality experiments: Figures 2, 4, 5, 8, 9 and 10.
 //!
 //! The bandwidth figures run their untiled/tiled points as
-//! [`crate::parallel::run_indexed`] jobs over an [`EnginePool`]: with one
+//! [`run_indexed`] jobs over an [`EnginePool`]: with one
 //! `REPRO_THREADS` worker the points run in order and the second reuses
 //! the first's engine allocation; with more workers each point claims its
 //! own engine and the pair runs concurrently. Either way the reported
 //! numbers are identical — they derive only from each point's own cache
 //! statistics.
 
-use crate::{banner, parallel, series_row, Check, ExperimentReport};
+use crate::{banner, series_row, Check, ExperimentReport};
 use pudiannao_memsim::{
     batch, kernels, AccessBlock, BandwidthReport, CacheConfig, ReuseProfiler, SimdEngine, Workload,
 };
+use pudiannao_serve::pool::run_indexed;
 use std::sync::Mutex;
 
 /// A pool of reusable [`SimdEngine`]s (each with its batching scratch
@@ -57,7 +58,7 @@ fn untiled_tiled_pair(
         Box::new(|| pool.with_engine(|e, buf| batch::run_buffered(untiled, e, buf).report())),
         Box::new(|| pool.with_engine(|e, buf| batch::run_buffered(tiled, e, buf).report())),
     ];
-    let mut reports = parallel::run_indexed(jobs);
+    let mut reports = run_indexed(jobs);
     let t = reports.pop().expect("two jobs");
     let u = reports.pop().expect("two jobs");
     (u, t)

@@ -17,7 +17,9 @@ impl Addr {
     /// and the cache model is indifferent to where the wrap lands (set
     /// and tag are carved out of whatever bits result). Wrapping here
     /// keeps those hostile traces deterministic instead of panicking in
-    /// debug builds.
+    /// debug builds. One access that runs past `u64::MAX` does not wrap:
+    /// the cache, the block packer and the reuse profiler all stop it at
+    /// the top of the address space.
     #[inline]
     #[must_use]
     pub const fn offset(self, bytes: u64) -> Addr {
@@ -101,6 +103,23 @@ impl Access {
     #[must_use]
     pub const fn write(addr: Addr, bytes: u32, class: VarClass) -> Access {
         Access { addr, bytes, kind: AccessKind::Write, class }
+    }
+
+    /// The last byte the access touches (a 0-byte access touches one).
+    /// An access running past `u64::MAX` stops at the top of the address
+    /// space: wrapping inside one access would make its span run
+    /// backwards.
+    #[inline]
+    pub(crate) fn last_byte(self) -> u64 {
+        self.addr.0.saturating_add(u64::from(self.bytes.max(1)) - 1)
+    }
+
+    /// First and last line the access touches, for `2^line_shift`-byte
+    /// lines. The per-access cache path and the block packer both split
+    /// accesses with this, so they touch the same lines by construction.
+    #[inline]
+    pub(crate) fn line_span(self, line_shift: u32) -> (u64, u64) {
+        (self.addr.0 >> line_shift, self.last_byte() >> line_shift)
     }
 }
 

@@ -185,8 +185,8 @@ impl AccessBlock {
         let mut crossing = false;
         let base = self.addrs.len();
         self.addrs.extend(operands.iter().map(|a| {
-            let start = a.addr.0 >> shift;
-            crossing |= (a.addr.0 + u64::from(a.bytes.max(1)) - 1) >> shift != start;
+            let (start, end) = a.line_span(shift);
+            crossing |= end != start;
             start
         }));
         if crossing {
@@ -204,8 +204,7 @@ impl AccessBlock {
     fn push_op_crossing(&mut self, operands: &[Access]) {
         for a in operands {
             let m = meta_of(a.kind, a.class);
-            let start_line = a.addr.0 >> self.line_shift;
-            let end_line = (a.addr.0 + u64::from(a.bytes.max(1)) - 1) >> self.line_shift;
+            let (start_line, end_line) = a.line_span(self.line_shift);
             for line_addr in start_line..=end_line {
                 self.addrs.push(line_addr);
                 self.bytes.push(a.bytes);

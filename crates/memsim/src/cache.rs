@@ -1,45 +1,46 @@
 //! The set-associative cache model behind the Section-2 experiments.
 //!
+//! # One pass plus one reference
+//!
+//! [`Cache::access_soa`] is the production pass: the figure drivers, the
+//! serving fleet and the benchmarks all reach it through
+//! [`SimdEngine::commit_block`]. [`Cache::access`] is the reference: one
+//! access at a time, one full set lookup per touched line, no line
+//! buffer. Both drive the same hit, miss and fill transitions, so they
+//! leave identical counters and line states; the workspace's
+//! `cache_matches_reference` suite pins both to an independent model.
+//!
 //! # Hot-path layout
 //!
 //! The simulator replays hundreds of millions of accesses per figure, so
 //! the cache state is stored structure-of-arrays: way-packed `tags`,
 //! `stamps` and `flags` slices indexed by `set * ways + way`, with no
-//! per-line struct to chase. Three mechanisms keep lookups cheap without
-//! changing a single counter:
+//! per-line struct to chase. Three mechanisms keep the SoA pass cheap
+//! without changing a single counter:
 //!
-//! * a **class-indexed line buffer** in front of the tag scan — each
+//! * a **class-indexed line buffer** in front of the set lookup — each
 //!   entry maps a line address to the packed slot currently holding it,
 //!   and is dropped the moment that slot is recycled by
 //!   [`Cache::install`], so a buffer hit is *by construction* the same
-//!   slot a full scan would find. Entries are grouped by the access's
+//!   slot a full lookup would find. Entries are grouped by the access's
 //!   [`VarClass`] (two per class), giving every operand stream a private
 //!   pair that other streams cannot churn out; a probe is at most two
 //!   compares;
-//! * a **way-parallel probe** ([`ProbePath`]): each set with `ways <= 8`
-//!   keeps a packed one-byte-per-way tag signature, so a full set lookup
-//!   is a SWAR XOR/haszero match (or a `std::arch` tag compare on
-//!   x86_64/aarch64) instead of a per-way scalar scan, with the victim
-//!   way selected lazily — only allocating misses pay for it. The
-//!   monomorphised scalar scans survive as [`ProbePath::Scan`], both as
-//!   the `ways > 8` fallback and as the differential reference;
-//! * **run coalescing** ([`Cache::access_run`]): consecutive accesses to
-//!   the same line are resolved with one lookup, batching the follow-up
-//!   hit counters exactly (no eviction can intervene inside a run because
-//!   no other set is touched);
-//! * a **batched pass** ([`Cache::access_block`]): a whole flattened
-//!   trace streams through one loop with the next access's set index
-//!   computed while the current one resolves, eliminating the per-op
-//!   call boundary that dominates short-operand kernels.
+//! * a **way-parallel probe**: each set with `ways <= 8` keeps a packed
+//!   one-byte-per-way tag signature (see the `probe` module), so a set
+//!   lookup is a SWAR XOR/haszero match instead of a per-way scan, with
+//!   the victim way selected lazily — only allocating misses pay for it.
+//!   Wider sets scan their ways;
+//! * a **register-resident loop**: a whole packed [`AccessBlock`] streams
+//!   through one loop, monomorphised per policy, with the tick and hit
+//!   counters held in locals instead of `self`.
 //!
-//! [`Cache::access_scalar`] keeps the unbuffered, uncoalesced reference
-//! path alive for differential tests and microbenchmarks.
+//! [`SimdEngine::commit_block`]: crate::SimdEngine::commit_block
 
 use crate::access::{Access, AccessKind, VarClass};
 use crate::block::{meta_class, meta_kind, AccessBlock};
-use crate::probe::{self, SimdLevel};
+use crate::probe;
 use core::fmt;
-use std::sync::OnceLock;
 
 /// Replacement policy for a cache set.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -227,27 +228,11 @@ pub struct LineState {
     pub stamp: u64,
 }
 
-pub(crate) const FLAG_VALID: u8 = 1;
+const FLAG_VALID: u8 = 1;
 const FLAG_DIRTY: u8 = 2;
-
-/// How the cache resolves a full set lookup (hit way, and on allocating
-/// misses the victim way) once the line buffer has missed. Selected
-/// automatically at construction; [`Cache::force_probe_path`] lets
-/// differential tests pin a specific path.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum ProbePath {
-    /// The monomorphised scalar scans — the only path for `ways > 8`,
-    /// and the reference the vector paths are tested against.
-    Scan,
-    /// SWAR probe over the packed per-set tag signature (any
-    /// `ways <= 8`); portable, no target features required.
-    Swar,
-    /// `std::arch` probe (AVX2 or SSE2 on x86_64, NEON on aarch64) for
-    /// ways 4 and 8, with vectorised victim select where the host
-    /// supports it.
-    Simd,
-}
+/// Widest set the packed tag signature covers, one byte per way in a
+/// `u64`; wider sets scan their ways.
+const SIG_WAYS: usize = 8;
 
 /// Line-buffer groups, one per [`VarClass`]: the kernels tag each operand
 /// stream (testing row, reference row, output, synapse stream) with its
@@ -263,7 +248,7 @@ const LB_ENTRIES: usize = LB_CLASSES * LB_ASSOC;
 /// Sentinel line address marking a dead line-buffer entry. Real line
 /// addresses are `addr >> line_shift`, so with `line_shift >= 1` this
 /// value is unreachable; the degenerate 1-byte-line configuration keeps
-/// the buffer disabled instead (see [`Cache::new`]).
+/// the buffer disabled instead (see [`Cache::access_soa`]).
 const LB_DEAD: u64 = u64::MAX;
 
 /// Hot mutable scalars of a batched pass, held in locals so the block
@@ -309,7 +294,8 @@ pub struct Cache {
     /// Way-packed `FLAG_VALID | FLAG_DIRTY` bits.
     flags: Box<[u8]>,
     /// Packed per-set tag signatures (one byte per way, see the `probe`
-    /// module docs); maintained whenever `ways <= 8`, empty otherwise.
+    /// module docs); maintained whenever `ways <= SIG_WAYS`, empty
+    /// otherwise.
     sig: Box<[u64]>,
     stats: CacheStats,
     tick: u64,
@@ -317,16 +303,12 @@ pub struct Cache {
     set_bits: u32,
     set_mask: u64,
     ways: usize,
-    /// Active full-lookup strategy.
-    probe: ProbePath,
-    /// Widest vector ISA the host offers (fixed at construction).
-    simd: SimdLevel,
     /// Line buffer: recently resolved line addresses and the packed slot
     /// holding each, grouped by [`VarClass`] (entries `class * LB_ASSOC`
     /// and `+ 1`, most recent first). An entry is only ever created from
-    /// a real scan or fill result and is killed (`addr = LB_DEAD`) when
+    /// a real lookup or fill result and is killed (`addr = LB_DEAD`) when
     /// its slot is recycled, so a probe hit is exactly the slot a full
-    /// scan would find.
+    /// lookup would find.
     lb_addr: [u64; LB_ENTRIES],
     lb_slot: [u32; LB_ENTRIES],
     /// How many live buffer entries reference each packed slot. Lets
@@ -334,9 +316,6 @@ pub struct Cache {
     /// slot is actually referenced — and the LRU victim, being the least
     /// recently touched line, almost never is.
     lb_refs: Box<[u8]>,
-    /// False only for 1-byte lines, where every `u64` is a reachable line
-    /// address and `LB_DEAD` would collide; the buffer then stays empty.
-    lb_enabled: bool,
 }
 
 impl Cache {
@@ -349,45 +328,23 @@ impl Cache {
         config.validate()?;
         let sets = config.sets();
         let slots = (sets * config.ways) as usize;
-        let simd = probe::detect();
-        // SWAR is the default fast path wherever the packed signature
-        // exists: on the hosts measured so far it beats the `std::arch`
-        // path even with AVX2 present, because `#[target_feature]`
-        // functions cannot inline into a generic caller — every vector
-        // probe pays a real call, while the SWAR match is ~10 ALU ops
-        // compiled straight into the lookup. `Simd` stays selectable via
-        // [`Cache::force_probe_path`] for hosts where the trade flips.
-        let probe = if config.ways > 8 { ProbePath::Scan } else { ProbePath::Swar };
-        let mut cache = Cache {
+        let ways = config.ways as usize;
+        Ok(Cache {
             line_shift: config.line_bytes.trailing_zeros(),
             set_bits: sets.trailing_zeros(),
             set_mask: u64::from(sets - 1),
-            ways: config.ways as usize,
+            ways,
             tags: vec![0; slots].into_boxed_slice(),
             stamps: vec![0; slots].into_boxed_slice(),
             flags: vec![0; slots].into_boxed_slice(),
-            sig: vec![0; if config.ways <= 8 { sets as usize } else { 0 }].into_boxed_slice(),
+            sig: vec![0; if ways <= SIG_WAYS { sets as usize } else { 0 }].into_boxed_slice(),
             stats: CacheStats::default(),
             tick: 0,
-            probe,
-            simd,
             lb_addr: [LB_DEAD; LB_ENTRIES],
             lb_slot: [0; LB_ENTRIES],
             lb_refs: vec![0; slots].into_boxed_slice(),
-            lb_enabled: config.line_bytes > 1,
             config,
-        };
-        // `MEMSIM_PROBE=scan|swar|simd` overrides the default probe on
-        // every cache built in the process, so the probe comparison can
-        // run on other hosts without a rebuild. The override obeys the
-        // same support rules as [`Cache::force_probe_path`] and falls
-        // back silently to the default where the geometry or host cannot
-        // run the requested path — the probe never changes counters, so
-        // the fallback is observationally safe.
-        if let Some(path) = env_probe_override() {
-            let _ = cache.force_probe_path(path);
-        }
-        Ok(cache)
+        })
     }
 
     /// The configuration this cache was built with.
@@ -400,29 +357,6 @@ impl Cache {
     #[must_use]
     pub fn stats(&self) -> &CacheStats {
         &self.stats
-    }
-
-    /// The probe path resolving full set lookups.
-    #[must_use]
-    pub fn probe_path(&self) -> ProbePath {
-        self.probe
-    }
-
-    /// Forces a specific probe path, for differential tests and
-    /// microbenchmarks that compare the paths against each other.
-    /// Returns `false` (leaving the active path unchanged) when the
-    /// geometry or host cannot run the requested path: `Swar` needs
-    /// `ways <= 8`, `Simd` needs ways 4 or 8 plus a vector ISA.
-    pub fn force_probe_path(&mut self, path: ProbePath) -> bool {
-        let supported = match path {
-            ProbePath::Scan => true,
-            ProbePath::Swar => self.ways <= 8,
-            ProbePath::Simd => (self.ways == 4 || self.ways == 8) && self.simd != SimdLevel::None,
-        };
-        if supported {
-            self.probe = path;
-        }
-        supported
     }
 
     /// Clears contents and statistics.
@@ -447,9 +381,9 @@ impl Cache {
     }
 
     /// Copies `src`'s contents, line buffer, statistics and tick into this
-    /// cache without allocating; the configuration and probe path stay
-    /// this cache's own. Returns `false`, leaving this cache untouched,
-    /// when `src` was built with a different configuration.
+    /// cache without allocating; the configuration stays this cache's
+    /// own. Returns `false`, leaving this cache untouched, when `src` was
+    /// built with a different configuration.
     pub(crate) fn restore_from(&mut self, src: &Cache) -> bool {
         if self.config != src.config {
             return false;
@@ -482,113 +416,24 @@ impl Cache {
             .collect()
     }
 
-    /// Performs one access, splitting it across cache lines as needed.
+    /// Performs one access, splitting it across cache lines as needed:
+    /// the reference path, with one full set lookup per touched line and
+    /// no line buffer. [`Cache::access_soa`] over the same stream, packed,
+    /// leaves identical counters and line states.
     pub fn access(&mut self, access: Access) {
-        let start_line = access.addr.0 >> self.line_shift;
-        let end_line = (access.addr.0 + u64::from(access.bytes.max(1)) - 1) >> self.line_shift;
-        if start_line == end_line {
-            self.access_line(start_line, access.kind, access.bytes, access.class);
-        } else {
-            for line_addr in start_line..=end_line {
-                self.access_line(line_addr, access.kind, access.bytes, access.class);
-            }
-        }
-    }
-
-    /// Performs one access through the unbuffered reference path: a full
-    /// tag scan per touched line, no line buffer, no coalescing. Counter
-    /// and state transitions are identical to [`Cache::access`]; this
-    /// exists so differential tests and microbenchmarks can compare the
-    /// fast path against the straightforward implementation.
-    pub fn access_scalar(&mut self, access: Access) {
-        let start_line = access.addr.0 >> self.line_shift;
-        let end_line = (access.addr.0 + u64::from(access.bytes.max(1)) - 1) >> self.line_shift;
+        let Access { kind, bytes, class, .. } = access;
+        let (start_line, end_line) = access.line_span(self.line_shift);
         for line_addr in start_line..=end_line {
             self.tick += 1;
-            self.access_line_slow(
-                self.tick,
-                line_addr,
-                access.kind,
-                access.bytes,
-                access.class,
-                false,
-            );
+            self.access_line_slow(self.tick, line_addr, kind, bytes, class, false);
         }
-    }
-
-    /// Streams a whole flattened trace through the cache in one pass.
-    ///
-    /// Equivalent, counter for counter and stamp for stamp, to calling
-    /// [`Cache::access`] on each element in order (and therefore to any
-    /// [`Cache::access_run`] partition of the same stream — both reduce
-    /// to the scalar sequence). The win is structural: one call resolves
-    /// the entire block, so the tick/stat/line-buffer state stays hot in
-    /// registers instead of round-tripping through memory at every op
-    /// boundary, and the next access's line span is computed while the
-    /// current one resolves (software pipelining — the span's shift/add
-    /// chain overlaps the probe's dependent loads).
-    pub fn access_block(&mut self, accesses: &[Access]) {
-        // Monomorphise the pass on the two policy axes (plus the
-        // line-buffer switch) so the per-access policy branches
-        // constant-fold away inside the hot loop.
-        match (self.config.replacement, self.config.write_policy, self.lb_enabled) {
-            (ReplacementPolicy::Lru, WritePolicy::WriteBackAllocate, true) => {
-                self.block_pass::<true, true, true>(accesses);
-            }
-            (ReplacementPolicy::Lru, WritePolicy::WriteAroundNoAllocate, true) => {
-                self.block_pass::<true, false, true>(accesses);
-            }
-            (ReplacementPolicy::Fifo, WritePolicy::WriteBackAllocate, true) => {
-                self.block_pass::<false, true, true>(accesses);
-            }
-            (ReplacementPolicy::Fifo, WritePolicy::WriteAroundNoAllocate, true) => {
-                self.block_pass::<false, false, true>(accesses);
-            }
-            (ReplacementPolicy::Lru, WritePolicy::WriteBackAllocate, false) => {
-                self.block_pass::<true, true, false>(accesses);
-            }
-            (ReplacementPolicy::Lru, WritePolicy::WriteAroundNoAllocate, false) => {
-                self.block_pass::<true, false, false>(accesses);
-            }
-            (ReplacementPolicy::Fifo, WritePolicy::WriteBackAllocate, false) => {
-                self.block_pass::<false, true, false>(accesses);
-            }
-            (ReplacementPolicy::Fifo, WritePolicy::WriteAroundNoAllocate, false) => {
-                self.block_pass::<false, false, false>(accesses);
-            }
-        }
-    }
-
-    /// The batched loop body. `LRU` / `WB` / `LB` encode the replacement
-    /// policy, write policy and line-buffer switch as compile-time
-    /// constants, so the per-access policy branches constant-fold away;
-    /// the hot scalars ride in a by-value [`BlockState`] (an
-    /// address-taken local would be pinned to its stack slot and
-    /// re-loaded every iteration).
-    fn block_pass<const LRU: bool, const WB: bool, const LB: bool>(&mut self, accesses: &[Access]) {
-        let mut st =
-            BlockState { tick: self.tick, read_hits: 0, write_hits: 0, offchip_write_bytes: 0 };
-        for &a in accesses {
-            let (start_line, end_line) = self.line_span(a);
-            if start_line == end_line {
-                st = self.block_line::<LRU, WB, LB>(st, start_line, a.kind, a.bytes, a.class);
-            } else {
-                for line_addr in start_line..=end_line {
-                    st = self.block_line::<LRU, WB, LB>(st, line_addr, a.kind, a.bytes, a.class);
-                }
-            }
-        }
-        self.tick = st.tick;
-        self.stats.read_hits += st.read_hits;
-        self.stats.write_hits += st.write_hits;
-        self.stats.offchip_write_bytes += st.offchip_write_bytes;
     }
 
     /// Streams a packed [`AccessBlock`] through the cache in one pass.
     ///
     /// Equivalent, counter for counter and stamp for stamp, to
-    /// [`Cache::access_block`] on the stream the block was packed from:
-    /// the block's entries *are* the per-line sequence the AoS pass
+    /// [`Cache::access`] on each access the block was packed from, in
+    /// order: the block's entries *are* the per-line sequence that path
     /// derives on the fly (splitting and `addr >> line_shift` happened at
     /// pack time), so the loop body is just the line-buffer probe over a
     /// dense `u64` stream — no struct striding, no span computation, and
@@ -609,7 +454,13 @@ impl Cache {
             self.config.line_bytes,
         );
         let (addrs, bytes, meta) = block.parts();
-        match (self.config.replacement, self.config.write_policy, self.lb_enabled) {
+        // Monomorphise the pass on the two policy axes plus the line
+        // buffer, so the per-access policy branches constant-fold away
+        // inside the hot loop. The buffer is off only for 1-byte lines,
+        // where every `u64` is a reachable line address and `LB_DEAD`
+        // would collide.
+        let lb = self.line_shift > 0;
+        match (self.config.replacement, self.config.write_policy, lb) {
             (ReplacementPolicy::Lru, WritePolicy::WriteBackAllocate, true) => {
                 self.block_pass_soa::<true, true, true>(addrs, bytes, meta);
             }
@@ -638,9 +489,13 @@ impl Cache {
     }
 
     /// The SoA loop body: [`Cache::block_line`] over pre-split per-line
-    /// entries. Under `WB` the `bytes` column is provably unread by the
-    /// whole downstream path, so that load is elided — the write-around
-    /// instantiations zip it back in.
+    /// entries. `LRU` / `WB` / `LB` encode the replacement policy, write
+    /// policy and line-buffer switch as compile-time constants, and the
+    /// hot scalars ride in a by-value [`BlockState`] (an address-taken
+    /// local would be pinned to its stack slot and re-loaded every
+    /// iteration). Under `WB` the `bytes` column is provably unread by
+    /// the whole downstream path, so that load is elided — the
+    /// write-around instantiations zip it back in.
     fn block_pass_soa<const LRU: bool, const WB: bool, const LB: bool>(
         &mut self,
         addrs: &[u64],
@@ -683,193 +538,41 @@ impl Cache {
     ) -> BlockState {
         st.tick += 1;
         let g = class as usize * LB_ASSOC;
-        if LB {
-            let slot = if self.lb_addr[g] == line_addr {
-                self.lb_slot[g] as usize
-            } else if self.lb_addr[g + 1] == line_addr {
-                self.lb_slot[g + 1] as usize
-            } else {
-                self.access_line_slow(st.tick, line_addr, kind, bytes, class, true);
-                return st;
-            };
-            match kind {
-                AccessKind::Read => st.read_hits += 1,
-                AccessKind::Write => {
-                    st.write_hits += 1;
-                    if WB {
-                        // Check-before-set: repeated stores to a dirty
-                        // line are the common case, and a predicted
-                        // branch beats a read-modify-write store chain.
-                        if self.flags[slot] & FLAG_DIRTY == 0 {
-                            self.flags[slot] |= FLAG_DIRTY;
-                        }
-                    } else {
-                        // Write-through on hit: bytes go to memory too.
-                        st.offchip_write_bytes +=
-                            u64::from(bytes).min(u64::from(self.config.line_bytes));
+        let slot = if LB && self.lb_addr[g] == line_addr {
+            self.lb_slot[g] as usize
+        } else if LB && self.lb_addr[g + 1] == line_addr {
+            self.lb_slot[g + 1] as usize
+        } else {
+            self.access_line_slow(st.tick, line_addr, kind, bytes, class, LB);
+            return st;
+        };
+        match kind {
+            AccessKind::Read => st.read_hits += 1,
+            AccessKind::Write => {
+                st.write_hits += 1;
+                if WB {
+                    // Check-before-set: repeated stores to a dirty line
+                    // are the common case, and a predicted branch beats
+                    // a read-modify-write store chain.
+                    if self.flags[slot] & FLAG_DIRTY == 0 {
+                        self.flags[slot] |= FLAG_DIRTY;
                     }
+                } else {
+                    // Write-through on hit: bytes go to memory too.
+                    st.offchip_write_bytes +=
+                        u64::from(bytes).min(u64::from(self.config.line_bytes));
                 }
             }
-            if LRU {
-                self.stamps[slot] = st.tick;
-            }
-            return st;
         }
-        self.access_line_slow(st.tick, line_addr, kind, bytes, class, true);
+        if LRU {
+            self.stamps[slot] = st.tick;
+        }
         st
     }
 
-    /// Performs a sequence of accesses, resolving each maximal run of
-    /// consecutive same-line, same-kind touches with a single tag lookup.
-    ///
-    /// Equivalent, counter for counter and stamp for stamp, to calling
-    /// [`Cache::access`] on each element in order: the first touch of a
-    /// run is resolved exactly like a scalar access (so fills land on the
-    /// same victim with the same stamp), and the remaining `k-1` touches
-    /// are batched — no eviction can intervene inside a run because no
-    /// other cache set is referenced between its touches.
-    pub fn access_run(&mut self, accesses: &[Access]) {
-        // Single-operand ops (reduction writes, scalar updates) skip the
-        // run-detection machinery entirely.
-        if let &[a] = accesses {
-            let (start_line, end_line) = self.line_span(a);
-            if start_line == end_line {
-                self.access_line(start_line, a.kind, a.bytes, a.class);
-            } else {
-                for line_addr in start_line..=end_line {
-                    self.access_line(line_addr, a.kind, a.bytes, a.class);
-                }
-            }
-            return;
-        }
-        let n = accesses.len();
-        let mut i = 0;
-        // Each element's span is computed exactly once: the lookahead that
-        // ends a run hands the breaking element's span to the next head.
-        let mut cur = match accesses.first() {
-            Some(&a) => self.line_span(a),
-            None => return,
-        };
-        while i < n {
-            let a = accesses[i];
-            let (start_line, end_line) = cur;
-            if start_line != end_line {
-                // Line-crossing accesses fall back to the split path and
-                // never participate in a run.
-                for line_addr in start_line..=end_line {
-                    self.access_line(line_addr, a.kind, a.bytes, a.class);
-                }
-                i += 1;
-                if i < n {
-                    cur = self.line_span(accesses[i]);
-                }
-                continue;
-            }
-            let mut j = i + 1;
-            while j < n {
-                let b = accesses[j];
-                let b_span = self.line_span(b);
-                if b.kind != a.kind || b_span != (start_line, start_line) {
-                    cur = b_span;
-                    break;
-                }
-                j += 1;
-            }
-            self.access_line(start_line, a.kind, a.bytes, a.class);
-            if j > i + 1 {
-                self.run_tail(start_line, a.kind, &accesses[i + 1..j]);
-            }
-            i = j;
-        }
-    }
-
-    /// First and last line touched by an access.
-    #[inline]
-    fn line_span(&self, a: Access) -> (u64, u64) {
-        let start = a.addr.0 >> self.line_shift;
-        let end = (a.addr.0 + u64::from(a.bytes.max(1)) - 1) >> self.line_shift;
-        (start, end)
-    }
-
-    /// Resolves the follow-up touches of a coalesced run after the first
-    /// touch settled residency. One lookup covers the whole tail.
-    fn run_tail(&mut self, line_addr: u64, kind: AccessKind, tail: &[Access]) {
-        let line_bytes = u64::from(self.config.line_bytes);
-        let set_idx = (line_addr & self.set_mask) as usize;
-        let tag = line_addr >> self.set_bits;
-        let base = set_idx * self.ways;
-        let k = tail.len() as u64;
-        match self.find_way(set_idx, base, tag) {
-            Some(way) => {
-                // Resident after the first touch: every follow-up hits.
-                let slot = base + way;
-                self.tick += k;
-                match kind {
-                    AccessKind::Read => self.stats.read_hits += k,
-                    AccessKind::Write => {
-                        self.stats.write_hits += k;
-                        match self.config.write_policy {
-                            WritePolicy::WriteBackAllocate => self.flags[slot] |= FLAG_DIRTY,
-                            WritePolicy::WriteAroundNoAllocate => {
-                                for a in tail {
-                                    self.stats.offchip_write_bytes +=
-                                        u64::from(a.bytes).min(line_bytes);
-                                }
-                            }
-                        }
-                    }
-                }
-                if self.config.replacement == ReplacementPolicy::Lru {
-                    self.stamps[slot] = self.tick;
-                }
-            }
-            None if kind == AccessKind::Write
-                && self.config.write_policy == WritePolicy::WriteAroundNoAllocate =>
-            {
-                // Write-around write miss: the line stays non-resident, so
-                // every follow-up misses again with only byte traffic.
-                self.tick += k;
-                self.stats.write_misses += k;
-                for a in tail {
-                    self.stats.offchip_write_bytes += u64::from(a.bytes).min(line_bytes);
-                }
-            }
-            None => {
-                // Unreachable in practice (reads and write-allocate writes
-                // fill on miss), kept exact by replaying scalar accesses.
-                for a in tail {
-                    self.tick += 1;
-                    self.access_line_slow(self.tick, line_addr, a.kind, a.bytes, a.class, true);
-                }
-            }
-        }
-    }
-
-    #[inline]
-    fn access_line(&mut self, line_addr: u64, kind: AccessKind, bytes: u32, class: VarClass) {
-        self.tick += 1;
-        // Line-buffer probe in the access's class group: each operand
-        // stream revisits at most two lines between transitions, so the
-        // first compare almost always resolves the access.
-        let g = class as usize * LB_ASSOC;
-        if self.lb_enabled {
-            if self.lb_addr[g] == line_addr {
-                self.hit_at(self.tick, self.lb_slot[g] as usize, kind, bytes);
-                return;
-            }
-            // No swap-to-front: a stream alternating between its two lines
-            // would pay a four-element shuffle per access to save a single
-            // compare.
-            if self.lb_addr[g + 1] == line_addr {
-                self.hit_at(self.tick, self.lb_slot[g + 1] as usize, kind, bytes);
-                return;
-            }
-        }
-        self.access_line_slow(self.tick, line_addr, kind, bytes, class, true);
-    }
-
     /// Full set resolution; `insert_lb` feeds the line buffer on hits and
-    /// fills (false on the scalar reference path).
+    /// fills (false on the [`Cache::access`] reference path and whenever
+    /// the buffer is off).
     #[allow(clippy::too_many_arguments)]
     #[inline]
     fn access_line_slow(
@@ -896,69 +599,24 @@ impl Cache {
         self.finish_miss(tick, set_idx, base, line_addr, tag, kind, bytes, class, insert_lb);
     }
 
-    /// Resolves the hit way through the active [`ProbePath`], returning
-    /// `usize::MAX` on a miss. The victim way is *not* computed here —
-    /// only allocating misses need one, and they pay for it lazily in
-    /// [`Cache::finish_miss`] (unlike the old fused pass, which charged
-    /// every slow lookup for a victim reduction it rarely used).
+    /// Resolves the hit way, returning `usize::MAX` on a miss: the SWAR
+    /// signature match where the set has one, a way scan beyond. The
+    /// victim way is *not* computed here — only allocating misses need
+    /// one, and they pay for it lazily in [`Cache::finish_miss`].
     #[inline]
     fn probe_hit(&self, set_idx: usize, base: usize, tag: u64) -> usize {
-        match self.probe {
-            ProbePath::Swar => {
-                probe::swar_hit(self.sig[set_idx], &self.tags[base..base + self.ways], tag)
-            }
-            ProbePath::Simd => self.simd_hit(base, tag),
-            ProbePath::Scan => {
-                let found = match self.ways {
-                    1 => self.scan_ways::<1>(base, tag),
-                    2 => self.scan_ways::<2>(base, tag),
-                    4 => self.scan_ways::<4>(base, tag),
-                    8 => self.scan_ways::<8>(base, tag),
-                    n => self.scan_dyn(base, tag, n),
-                };
-                found.unwrap_or(usize::MAX)
-            }
+        let tags = &self.tags[base..base + self.ways];
+        if self.ways <= SIG_WAYS {
+            return probe::swar_hit(self.sig[set_idx], tags, tag);
         }
-    }
-
-    /// `std::arch` hit probe: full 64-bit tag compare across the set,
-    /// masked to valid ways (invalid ways keep stale tags — commonly the
-    /// all-zero fill, which a real tag can equal).
-    #[inline]
-    fn simd_hit(&self, base: usize, tag: u64) -> usize {
-        let mask = if self.ways == 8 {
-            let tags: &[u64; 8] = self.tags[base..base + 8].try_into().expect("8-way set");
-            let flags: &[u8; 8] = self.flags[base..base + 8].try_into().expect("8-way set");
-            probe::simd_hit_mask8(self.simd, tags, tag) & probe::valid_mask(flags)
-        } else {
-            let tags: &[u64; 4] = self.tags[base..base + 4].try_into().expect("4-way set");
-            let flags: &[u8; 4] = self.flags[base..base + 4].try_into().expect("4-way set");
-            probe::simd_hit_mask4(self.simd, tags, tag) & probe::valid_mask(flags)
-        };
-        if mask == 0 {
-            usize::MAX
-        } else {
-            mask.trailing_zeros() as usize
-        }
+        let flags = &self.flags[base..base + self.ways];
+        (0..self.ways).find(|&w| flags[w] & FLAG_VALID != 0 && tags[w] == tag).unwrap_or(usize::MAX)
     }
 
     /// Selects the victim way for an allocating miss: an invalid way when
     /// one exists, else the first-minimum-stamp resident.
     #[inline]
     fn victim_way(&self, base: usize) -> usize {
-        if self.probe == ProbePath::Simd {
-            if self.ways == 8 {
-                let stamps: &[u64; 8] = self.stamps[base..base + 8].try_into().expect("8-way set");
-                if let Some(w) = probe::simd_victim8(self.simd, stamps) {
-                    return w;
-                }
-            } else {
-                let stamps: &[u64; 4] = self.stamps[base..base + 4].try_into().expect("4-way set");
-                if let Some(w) = probe::simd_victim4(self.simd, stamps) {
-                    return w;
-                }
-            }
-        }
         match self.ways {
             1 => 0,
             2 => self.victim_tree::<2>(base),
@@ -1056,7 +714,7 @@ impl Cache {
         }
     }
 
-    /// Bookkeeping shared by every hit path, buffered or scanned.
+    /// Hit bookkeeping after a full set lookup.
     #[inline]
     fn hit_at(&mut self, tick: u64, slot: usize, kind: AccessKind, bytes: u32) {
         match kind {
@@ -1078,36 +736,6 @@ impl Cache {
         }
     }
 
-    /// Finds the way holding `tag` in the set starting at `base`, through
-    /// the active probe path.
-    #[inline]
-    fn find_way(&self, set_idx: usize, base: usize, tag: u64) -> Option<usize> {
-        let w = self.probe_hit(set_idx, base, tag);
-        (w != usize::MAX).then_some(w)
-    }
-
-    #[inline]
-    fn scan_ways<const N: usize>(&self, base: usize, tag: u64) -> Option<usize> {
-        let tags = &self.tags[base..base + N];
-        let flags = &self.flags[base..base + N];
-        // Valid tags are unique within a set, so at most one way matches;
-        // a full branchless scan beats an early exit whose taken position
-        // the branch predictor cannot learn.
-        let mut found = usize::MAX;
-        for w in 0..N {
-            if (flags[w] & FLAG_VALID != 0) & (tags[w] == tag) {
-                found = w;
-            }
-        }
-        (found != usize::MAX).then_some(found)
-    }
-
-    fn scan_dyn(&self, base: usize, tag: u64, ways: usize) -> Option<usize> {
-        let tags = &self.tags[base..base + ways];
-        let flags = &self.flags[base..base + ways];
-        (0..ways).find(|&w| flags[w] & FLAG_VALID != 0 && tags[w] == tag)
-    }
-
     /// Installs `tag` on the precomputed victim way: an invalid way when
     /// one exists (those win the stamp reduction outright), else the
     /// first-minimum-stamp resident (matching how `Iterator::min_by_key`
@@ -1123,7 +751,7 @@ impl Cache {
         dirty: bool,
     ) -> usize {
         let slot = base + victim;
-        if self.ways <= 8 {
+        if self.ways <= SIG_WAYS {
             // Refresh the packed signature byte for the recycled way.
             let shift = (victim * 8) as u32;
             let word = &mut self.sig[set_idx];
@@ -1155,9 +783,6 @@ impl Cache {
 
     #[inline]
     fn lb_insert(&mut self, line_addr: u64, slot: usize, class: VarClass) {
-        if !self.lb_enabled {
-            return;
-        }
         // New line becomes the class's front entry; the previous front
         // survives as the second entry (streams alternate two lines).
         let g = class as usize * LB_ASSOC;
@@ -1180,34 +805,6 @@ impl fmt::Debug for Cache {
             .field("stats", &self.stats)
             .finish_non_exhaustive()
     }
-}
-
-/// Parses a `MEMSIM_PROBE` value. Split from the env read so the mapping
-/// is unit-testable without mutating process-global state.
-fn parse_probe_override(value: &str) -> Option<ProbePath> {
-    match value.trim().to_ascii_lowercase().as_str() {
-        "scan" => Some(ProbePath::Scan),
-        "swar" => Some(ProbePath::Swar),
-        "simd" => Some(ProbePath::Simd),
-        _ => None,
-    }
-}
-
-/// The process-wide `MEMSIM_PROBE` override, read and parsed once. An
-/// unrecognised value warns on the first cache construction and is then
-/// ignored.
-fn env_probe_override() -> Option<ProbePath> {
-    static OVERRIDE: OnceLock<Option<ProbePath>> = OnceLock::new();
-    *OVERRIDE.get_or_init(|| match std::env::var("MEMSIM_PROBE") {
-        Ok(raw) => {
-            let parsed = parse_probe_override(&raw);
-            if parsed.is_none() {
-                eprintln!("memsim: ignoring MEMSIM_PROBE={raw:?} (expected scan, swar or simd)");
-            }
-            parsed
-        }
-        Err(_) => None,
-    })
 }
 
 #[cfg(test)]
@@ -1383,33 +980,26 @@ mod tests {
         assert_eq!(c.stats().read_hits, 256);
     }
 
-    /// Replays a stream on (fast `access`, `access_scalar`, `access_run`)
-    /// and asserts identical stats and line states.
-    fn assert_three_way_equal(cfg: &CacheConfig, stream: &[Access]) {
-        let mut fast = Cache::new(cfg.clone()).unwrap();
-        let mut scalar = Cache::new(cfg.clone()).unwrap();
-        let mut run = Cache::new(cfg.clone()).unwrap();
-        let mut soa = Cache::new(cfg.clone()).unwrap();
+    /// Replays a stream through [`Cache::access`] one access at a time
+    /// and through [`Cache::access_soa`] packed one op per access, and
+    /// asserts identical stats and line states.
+    fn assert_paths_agree(cfg: &CacheConfig, stream: &[Access]) {
+        let mut reference = Cache::new(cfg.clone()).unwrap();
         for &a in stream {
-            fast.access(a);
-            scalar.access_scalar(a);
+            reference.access(a);
         }
-        run.access_run(stream);
         let mut block = AccessBlock::new(cfg.line_bytes);
         for a in stream {
             block.push_op(core::slice::from_ref(a));
         }
+        let mut soa = Cache::new(cfg.clone()).unwrap();
         soa.access_soa(&block);
-        assert_eq!(fast.stats(), scalar.stats());
-        assert_eq!(fast.stats(), run.stats());
-        assert_eq!(fast.stats(), soa.stats());
-        assert_eq!(fast.line_states(), scalar.line_states());
-        assert_eq!(fast.line_states(), run.line_states());
-        assert_eq!(fast.line_states(), soa.line_states());
+        assert_eq!(soa.stats(), reference.stats());
+        assert_eq!(soa.line_states(), reference.line_states());
     }
 
     #[test]
-    fn fast_scalar_and_run_paths_agree_on_interleaved_streams() {
+    fn paths_agree_on_interleaved_streams() {
         // The kernels' shape: two interleaved read streams plus an output
         // stream, with enough distinct lines to force evictions.
         let cfg = CacheConfig {
@@ -1427,16 +1017,17 @@ mod tests {
                 stream.push(write(0x20000 + i * 4, 4));
             }
         }
-        assert_three_way_equal(&cfg, &stream);
+        assert_paths_agree(&cfg, &stream);
 
         let wa = CacheConfig { write_policy: WritePolicy::WriteAroundNoAllocate, ..cfg };
-        assert_three_way_equal(&wa, &stream);
+        assert_paths_agree(&wa, &stream);
     }
 
     #[test]
-    fn coalesced_runs_match_scalar_exactly() {
-        // Long same-line runs (the coalescing target) for every kind and
-        // policy, including line-crossing breaks mid-stream.
+    fn same_line_runs_agree() {
+        // Long same-line runs (line-buffer hits on the SoA pass) for
+        // every kind and policy, including line-crossing breaks
+        // mid-stream.
         for policy in [WritePolicy::WriteBackAllocate, WritePolicy::WriteAroundNoAllocate] {
             let cfg = CacheConfig {
                 capacity_bytes: 512,
@@ -1456,7 +1047,7 @@ mod tests {
                 }
                 stream.push(read(line + 48, 32)); // crosses into the next line
             }
-            assert_three_way_equal(&cfg, &stream);
+            assert_paths_agree(&cfg, &stream);
         }
     }
 
@@ -1464,7 +1055,7 @@ mod tests {
     fn line_buffer_entries_die_with_their_slot() {
         // Direct-mapped 2-line cache: alternating lines that map to the
         // same set constantly recycle slots; a stale buffer entry would
-        // turn a miss into a hit and diverge from the scalar path.
+        // turn a miss into a hit and diverge from the reference path.
         let cfg = CacheConfig {
             capacity_bytes: 128,
             line_bytes: 64,
@@ -1477,11 +1068,11 @@ mod tests {
             stream.push(read((i % 3) * 128, 8));
             stream.push(write((i % 5) * 128, 8));
         }
-        assert_three_way_equal(&cfg, &stream);
+        assert_paths_agree(&cfg, &stream);
     }
 
     #[test]
-    fn fifo_stamps_survive_coalescing() {
+    fn fifo_stamps_agree_on_same_line_runs() {
         let cfg = CacheConfig {
             capacity_bytes: 512,
             line_bytes: 64,
@@ -1496,16 +1087,7 @@ mod tests {
                 stream.push(read(line + e * 8, 8));
             }
         }
-        assert_three_way_equal(&cfg, &stream);
-    }
-
-    #[test]
-    fn probe_override_parser() {
-        assert_eq!(parse_probe_override("scan"), Some(ProbePath::Scan));
-        assert_eq!(parse_probe_override("SWAR"), Some(ProbePath::Swar));
-        assert_eq!(parse_probe_override(" simd\n"), Some(ProbePath::Simd));
-        assert_eq!(parse_probe_override(""), None);
-        assert_eq!(parse_probe_override("avx2"), None);
+        assert_paths_agree(&cfg, &stream);
     }
 
     #[test]

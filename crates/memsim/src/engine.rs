@@ -55,18 +55,25 @@ impl SimdEngine {
     /// Executes one SIMD operation touching the given operands
     /// (conventionally up to three inputs and at most one output, matching
     /// the paper's `f(a, b, c)` engine; more are accepted and simply
-    /// charged extra cache lookups).
+    /// charged extra cache lookups). Each operand goes through the
+    /// reference path, [`Cache::access`], so [`Workload::run`] is the
+    /// per-op reference the batched [`crate::batch::run_buffered`] is
+    /// tested against.
+    ///
+    /// [`Workload::run`]: crate::Workload::run
     pub fn op(&mut self, operands: &[Access]) {
         self.cycles += 1;
         self.ops += 1;
-        self.cache.access_run(operands);
+        for &a in operands {
+            self.cache.access(a);
+        }
     }
 
-    /// Executes a packed [`AccessBlock`] — the SoA batched entry point
+    /// Executes a packed [`AccessBlock`] — the production entry point
     /// for [`crate::batch`] and the serving fleet. Counter-for-counter
     /// equivalent to calling [`SimdEngine::op`] once per flattened
     /// operation: the block carries its own op count (the cycle charge)
-    /// and its entries are the exact per-line sequence the scalar path
+    /// and its entries are the exact per-line sequence the reference path
     /// would derive, streamed through [`Cache::access_soa`].
     ///
     /// # Panics
@@ -77,16 +84,6 @@ impl SimdEngine {
         self.cycles += block.ops();
         self.ops += block.ops();
         self.cache.access_soa(block);
-    }
-
-    /// The array-of-structs ancestor of [`SimdEngine::commit_block`]:
-    /// executes `ops` SIMD operations whose operand accesses were
-    /// concatenated into `accesses`, via [`Cache::access_block`]. Kept as
-    /// the differential reference the SoA path is tested against.
-    pub fn commit_accesses(&mut self, ops: u64, accesses: &[Access]) {
-        self.cycles += ops;
-        self.ops += ops;
-        self.cache.access_block(accesses);
     }
 
     /// Charges idle cycles without memory traffic (e.g. pipeline drain).
@@ -103,9 +100,9 @@ impl SimdEngine {
 
     /// Whether the engine is in its reset state: zero cycles, zero ops
     /// and no cache access since it was built or last
-    /// [`SimdEngine::reset`]. The cache is checked directly because zero
-    /// ops alone does not imply it: [`SimdEngine::commit_accesses`] with
-    /// `ops = 0` touches the cache without counting an op.
+    /// [`SimdEngine::reset`]. The cache is checked directly rather than
+    /// inferred from the op count, so the answer does not depend on every
+    /// path that reaches the cache also counting an op.
     #[must_use]
     pub fn is_pristine(&self) -> bool {
         self.cycles == 0 && self.ops == 0 && self.cache.is_pristine()
@@ -113,10 +110,9 @@ impl SimdEngine {
 
     /// Overwrites this engine's state — cache contents, line buffer,
     /// statistics and tick, plus cycles and ops — with `snapshot`'s (a
-    /// clone taken earlier), without allocating. The configuration and
-    /// probe path stay this engine's own. Returns `false`, leaving the
-    /// engine untouched, when `snapshot` has a different cache
-    /// configuration.
+    /// clone taken earlier), without allocating. The configuration stays
+    /// this engine's own. Returns `false`, leaving the engine untouched,
+    /// when `snapshot` has a different cache configuration.
     #[must_use]
     pub fn restore_from(&mut self, snapshot: &SimdEngine) -> bool {
         if !self.cache.restore_from(&snapshot.cache) {
@@ -258,17 +254,6 @@ mod tests {
         e.op(&[Access::read(Addr(0), 32, VarClass::Hot)]);
         e.reset();
         assert_eq!(e.report(), BandwidthReport::default());
-    }
-
-    #[test]
-    fn zero_op_commit_leaves_engine_non_pristine() {
-        let mut e = SimdEngine::new(CacheConfig::paper_default()).unwrap();
-        assert!(e.is_pristine());
-        e.commit_accesses(0, &[Access::read(Addr(0), 32, VarClass::Hot)]);
-        assert_eq!(e.report().ops, 0);
-        assert!(!e.is_pristine(), "the cache was touched without counting an op");
-        e.reset();
-        assert!(e.is_pristine());
     }
 
     #[test]

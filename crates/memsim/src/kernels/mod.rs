@@ -13,17 +13,22 @@
 //! | [`nb`] | Figure 10b | training-phase counting |
 //! | [`ct`] | Section 2.7 | counting and tree-tiled prediction |
 //!
-//! The generators emit SIMD-operand accesses into a [`TraceSink`] — either
-//! a [`SimdEngine`] (for bandwidth, Figures 2/4/5/8/9) or a
-//! [`ReuseProfiler`] (for Figure 10). Each module packages its loop nests
-//! as [`Workload`] implementors (`knn::Untiled`, `dnn::Tiled`,
-//! `nb::Training`, ...), so any kernel dispatches uniformly: callers hold
-//! a `&dyn Workload`, [`Workload::run`] it through a reset engine for a
-//! [`KernelStats`], or [`Workload::profile`] it through a reset profiler
-//! for a reuse summary. Sweeps reuse one engine/profiler allocation per
-//! point; [`run_fresh`] / [`profile_fresh`] are the one-shot conveniences.
+//! The generators emit SIMD-operand accesses into a [`TraceSink`]. For the
+//! bandwidth figures (2/4/5/8/9) that sink is a [`BatchSink`], which packs
+//! the ops into blocks for a [`SimdEngine`]; for Figure 10 it is a
+//! [`ReuseProfiler`]. Each module packages its loop nests as [`Workload`]
+//! implementors (`knn::Untiled`, `dnn::Tiled`, `nb::Training`, ...), so
+//! any kernel dispatches uniformly: callers hold a `&dyn Workload` and
+//! [`run_buffered`] it through a reset engine for a [`KernelStats`], or
+//! [`Workload::profile`] it through a reset profiler for a reuse summary.
+//! [`Workload::run`] feeds the engine one [`SimdEngine::op`] at a time:
+//! it is the per-op reference the batched path is tested against, and
+//! [`run_fresh`] / [`profile_fresh`] are its one-shot conveniences.
 //!
+//! [`BatchSink`]: crate::BatchSink
+//! [`run_buffered`]: crate::run_buffered
 //! [`SimdEngine`]: crate::SimdEngine
+//! [`SimdEngine::op`]: crate::SimdEngine::op
 //! [`ReuseProfiler`]: crate::ReuseProfiler
 
 pub mod ct;

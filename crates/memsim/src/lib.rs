@@ -10,10 +10,17 @@
 //!
 //! - [`Cache`] — a banked set-associative cache with pluggable replacement
 //!   and write policies, counting exactly the off-chip traffic the paper's
-//!   bandwidth figures report.
+//!   bandwidth figures report. It has one production pass,
+//!   [`Cache::access_soa`] over a packed [`AccessBlock`], and one
+//!   reference, [`Cache::access`], that takes one access at a time.
 //! - [`SimdEngine`] — the 256-bit, 3-input, 1-op/cycle front end that
 //!   drives the cache and converts traffic into a bandwidth *requirement*
 //!   (bytes per cycle at 1 GHz).
+//! - [`batch`] — the path the figures run: a [`BatchSink`] packs a
+//!   kernel's ops into blocks and commits them to an engine
+//!   ([`run_buffered`]); [`Workload::run`] feeds the same ops to
+//!   [`SimdEngine::op`] one at a time and is the reference it is tested
+//!   against.
 //! - [`ReuseProfiler`] — the per-variable reuse-distance instrumentation
 //!   behind Figure 10, including the class clustering that motivates the
 //!   HotBuf / ColdBuf / OutputBuf split.
@@ -25,20 +32,21 @@
 //! # Example: the k-NN tiling experiment (Figure 2)
 //!
 //! ```
-//! use pudiannao_memsim::{kernels, CacheConfig};
+//! use pudiannao_memsim::{kernels, run_buffered, AccessBlock, CacheConfig, SimdEngine};
 //!
 //! // References span 64 KB, twice the 32 KB cache, as at paper scale.
 //! let shape = kernels::knn::DistanceShape { testing: 64, reference: 512, features: 32 };
 //! let cfg = CacheConfig::paper_default();
-//! let untiled = kernels::run_fresh(&kernels::knn::Untiled { shape }, &cfg);
-//! let tiled = kernels::run_fresh(&kernels::knn::Tiled::bandwidth(shape, 32, 32), &cfg);
+//! let mut engine = SimdEngine::new(cfg.clone())?;
+//! let mut block = AccessBlock::new(cfg.line_bytes);
+//! let untiled = run_buffered(&kernels::knn::Untiled { shape }, &mut engine, &mut block);
+//! let tiled =
+//!     run_buffered(&kernels::knn::Tiled::bandwidth(shape, 32, 32), &mut engine, &mut block);
 //! assert!(tiled.offchip_bytes < untiled.offchip_bytes / 4);
+//! # Ok::<(), pudiannao_memsim::CacheConfigError>(())
 //! ```
 
-#![deny(unsafe_code)]
-// ^ `deny` rather than `forbid`: the `probe` module opts back in locally
-// for `std::arch` intrinsics (see its module docs); everything else stays
-// unsafe-free.
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 // ^ `!(x > 0.0)` is used deliberately in validation: unlike `x <= 0.0`
@@ -57,8 +65,7 @@ pub use access::{Access, AccessKind, Addr, VarClass};
 pub use batch::{run_buffered, BatchSink};
 pub use block::AccessBlock;
 pub use cache::{
-    Cache, CacheConfig, CacheConfigError, CacheStats, LineState, ProbePath, ReplacementPolicy,
-    WritePolicy,
+    Cache, CacheConfig, CacheConfigError, CacheStats, LineState, ReplacementPolicy, WritePolicy,
 };
 pub use engine::{BandwidthReport, SimdEngine, SIMD_WIDTH_BYTES};
 pub use kernels::{KernelStats, Technique, Workload};

@@ -79,13 +79,18 @@ impl ReuseProfiler {
     }
 
     /// Records a multi-byte access as touches of each element it covers.
+    /// An access running past `u64::MAX` stops at the top of the address
+    /// space, as it does in the cache.
     pub fn touch_access(&mut self, access: &Access) {
         let step = u64::from(self.elem_bytes);
+        let last = access.last_byte();
         let mut a = access.addr.0;
-        let end = access.addr.0 + u64::from(access.bytes.max(1));
-        while a < end {
+        loop {
             self.touch(Addr(a), access.class);
-            a += step;
+            match a.checked_add(step) {
+                Some(next) if next <= last => a = next,
+                _ => break,
+            }
         }
     }
 

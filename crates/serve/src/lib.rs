@@ -36,6 +36,8 @@
 //! which CI checks on every run — and with chaos off the fleet takes the
 //! exact baseline code path, so the chaos layer is zero-cost when unused.
 
+#![forbid(unsafe_code)]
+
 pub mod admission;
 pub mod catalog;
 pub mod chaos;

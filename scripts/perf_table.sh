@@ -47,15 +47,11 @@ require() {
 }
 
 scalar=$(metric cache_scalar maccesses_per_s)
-coalesced=$(metric cache_coalesced maccesses_per_s)
-simd=$(metric cache_simd maccesses_per_s)
 soa=$(metric batch_soa maccesses_per_s)
 batch=$(metric batch_traces mops_per_s)
 build=$(metric engine_build ns_per_iter)
 reset=$(metric engine_reset ns_per_iter)
 require cache_scalar "$scalar"
-require cache_coalesced "$coalesced"
-require cache_simd "$simd"
 require batch_soa "$soa"
 require batch_traces "$batch"
 require engine_build "$build"
@@ -66,9 +62,7 @@ fmt1() { awk -v x="$1" 'BEGIN { printf "%.1f", x }'; }
 table=$(cat <<EOF
 | memsim path (k-NN-shaped operand stream) | measured on the bench host |
 |---|---|
-| \`Cache::access_scalar\` — per-access full tag scan | $(fmt1 "$scalar") Maccesses/s |
-| \`Cache::access_run\` — per-op coalesced groups | $(fmt1 "$coalesced") Maccesses/s |
-| \`Cache::access_block\` — batched block pass (SWAR probe) | $(fmt1 "$simd") Maccesses/s |
+| \`Cache::access\` — reference path, one full set lookup per line | $(fmt1 "$scalar") Maccesses/s |
 | \`Cache::access_soa\` — SoA pass over a packed \`AccessBlock\` | $(fmt1 "$soa") Maccesses/s |
 | \`commit_block\` — three tiled kernel templates, packed once, SoA replay | $(fmt1 "$batch") Mops/s |
 | \`SimdEngine\` build vs pooled reset | $(fmt1 "$build") vs $(fmt1 "$reset") ns |
