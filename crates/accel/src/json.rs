@@ -218,7 +218,9 @@ const MAX_DEPTH: usize = 128;
 /// Integers without a fraction or exponent become [`Value::UInt`] /
 /// [`Value::Int`] (so `u64` counters round-trip exactly); everything else
 /// numeric becomes [`Value::Float`]. Trailing non-whitespace is an error,
-/// and so is nesting arrays and objects more than 128 levels deep.
+/// and so are nesting arrays and objects more than 128 levels deep, a
+/// number beyond `f64`'s range (it could not be written back), and a
+/// decimal point with no digit after it.
 ///
 /// # Errors
 ///
@@ -437,6 +439,9 @@ impl<'a> Parser<'a> {
         if self.peek() == Some(b'.') {
             is_float = true;
             self.pos += 1;
+            if !matches!(self.peek(), Some(b'0'..=b'9')) {
+                return Err(ParseError { offset: start, message: "no digit after decimal point" });
+            }
             while matches!(self.peek(), Some(b'0'..=b'9')) {
                 self.pos += 1;
             }
@@ -460,9 +465,13 @@ impl<'a> Parser<'a> {
                 return Ok(Value::Int(i));
             }
         }
-        text.parse::<f64>()
-            .map(Value::Float)
-            .map_err(|_| ParseError { offset: start, message: "invalid number" })
+        match text.parse::<f64>() {
+            Ok(x) if x.is_finite() => Ok(Value::Float(x)),
+            // `f64` parsing saturates to infinity, which would serialise
+            // back as `null`.
+            Ok(_) => Err(ParseError { offset: start, message: "number overflows f64" }),
+            Err(_) => Err(ParseError { offset: start, message: "invalid number" }),
+        }
     }
 }
 
@@ -685,6 +694,65 @@ mod tests {
         }
         let err = parse("[1,]").unwrap_err();
         assert!(err.to_string().contains("byte"));
+    }
+
+    #[test]
+    fn parse_rejects_numbers_that_do_not_round_trip() {
+        let at = |offset, message| Err(ParseError { offset, message });
+        let overflow = "number overflows f64";
+        assert_eq!(parse("1e999"), at(0, overflow));
+        assert_eq!(parse("-1e999"), at(0, overflow));
+        assert_eq!(parse(&"9".repeat(400)), at(0, overflow));
+        assert_eq!(parse(&format!("[1, -{}]", "9".repeat(400))), at(4, overflow));
+        let no_digit = "no digit after decimal point";
+        assert_eq!(parse("1."), at(0, no_digit));
+        assert_eq!(parse("[2.e5]"), at(1, no_digit));
+        assert_eq!(parse("{\"k\": -3.}"), at(6, no_digit));
+        // The largest finite values and underflow to zero still parse.
+        assert_eq!(parse("1.7976931348623157e308"), Ok(Value::Float(f64::MAX)));
+        assert_eq!(parse("-1e-999"), Ok(Value::Float(-0.0)));
+        assert_eq!(parse("1.0"), Ok(Value::Float(1.0)));
+    }
+
+    #[test]
+    fn parse_rejects_truncated_documents() {
+        let at = |offset, message| Err(ParseError { offset, message });
+        assert_eq!(parse("\"abc"), at(4, "unterminated string"));
+        assert_eq!(parse("\"ab\\"), at(4, "truncated escape"));
+        assert_eq!(parse("\"\\u12"), at(5, "truncated \\u escape"));
+        assert_eq!(parse("[1, 2"), at(5, "expected ',' or ']' in array"));
+        assert_eq!(parse("[1,"), at(3, "unexpected end of input"));
+        assert_eq!(parse("{\"k\": 1"), at(7, "expected ',' or '}' in object"));
+        assert_eq!(parse("{\"k\""), at(4, "expected ':' after object key"));
+        assert_eq!(parse("{\"k"), at(3, "unterminated string"));
+        assert_eq!(parse("-"), at(0, "invalid number"));
+        assert_eq!(parse("1e"), at(0, "invalid number"));
+        assert_eq!(parse("tr"), at(0, "invalid literal"));
+    }
+
+    #[test]
+    fn committed_reports_parse() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let mut files = 0;
+        for entry in std::fs::read_dir(root).unwrap() {
+            let path = entry.unwrap().path();
+            let text = match path.extension().and_then(|e| e.to_str()) {
+                Some("json" | "jsonl") => std::fs::read_to_string(&path).unwrap(),
+                _ => continue,
+            };
+            let docs: Vec<&str> = if path.extension().unwrap() == "jsonl" {
+                text.lines().filter(|l| !l.trim().is_empty()).collect()
+            } else {
+                vec![&text]
+            };
+            for (i, doc) in docs.into_iter().enumerate() {
+                if let Err(e) = parse(doc) {
+                    panic!("{} document {i}: {e}", path.display());
+                }
+            }
+            files += 1;
+        }
+        assert!(files >= 2, "found only {files} committed JSON files under {root}");
     }
 
     #[test]

@@ -17,6 +17,13 @@ pub enum Error {
         /// Dimension actually supplied.
         actual: usize,
     },
+    /// The dataset has fewer instances than the technique needs.
+    TooFewInstances {
+        /// Instances the technique needs at least.
+        required: usize,
+        /// Instances actually supplied.
+        actual: usize,
+    },
     /// A hyper-parameter was out of its valid range.
     InvalidConfig(&'static str),
     /// The model has not been trained yet.
@@ -29,6 +36,9 @@ impl fmt::Display for Error {
             Error::EmptyDataset => f.write_str("dataset has no instances or no features"),
             Error::DimensionMismatch { expected, actual } => {
                 write!(f, "dimension mismatch: expected {expected}, got {actual}")
+            }
+            Error::TooFewInstances { required, actual } => {
+                write!(f, "too few instances: need at least {required}, got {actual}")
             }
             Error::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             Error::NotFitted => f.write_str("model has not been fitted"),
@@ -48,6 +58,10 @@ mod tests {
         assert_eq!(
             Error::DimensionMismatch { expected: 3, actual: 5 }.to_string(),
             "dimension mismatch: expected 3, got 5"
+        );
+        assert_eq!(
+            Error::TooFewInstances { required: 2, actual: 1 }.to_string(),
+            "too few instances: need at least 2, got 1"
         );
         assert_eq!(
             Error::InvalidConfig("k must be > 0").to_string(),

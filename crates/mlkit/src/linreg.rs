@@ -6,7 +6,7 @@
 //! dominant cost being the `theta . x(i)` dot products. Prediction is the
 //! vector-matrix product `Y = theta X` (Eq. 2).
 
-use crate::precision::Precision;
+use crate::precision::{Precision, RowBlocks};
 use crate::{Error, Result};
 use pudiannao_datasets::{Matrix, RegDataset};
 
@@ -71,14 +71,19 @@ impl LinearRegression {
             return Err(Error::InvalidConfig("epochs must be > 0"));
         }
         let p = config.precision;
+        // Transposed once: every epoch's predictions are independent dots
+        // against the same `theta`, reduced side by side.
+        let rows = RowBlocks::new(p, &data.features);
         let mut theta = vec![0.0f32; d + 1];
         let inv_n = 1.0 / n as f32;
         let mut grad = vec![0.0f32; d + 1];
+        let mut dots = vec![0.0f32; n];
         for _ in 0..config.epochs {
             grad.iter_mut().for_each(|g| *g = 0.0);
-            for i in 0..n {
+            rows.dots(&theta[1..], 0, &mut dots);
+            for (i, &dot) in dots.iter().enumerate() {
                 let x = data.features.row(i);
-                let pred = p.dot(&theta[1..], x) + theta[0];
+                let pred = dot + theta[0];
                 let err = pred - data.labels[i];
                 grad[0] += err;
                 // grad[j+1] += err * x[j], in the chosen datapath.
@@ -198,6 +203,63 @@ mod tests {
         let (e32, e16, emx) = (err(&f32m), err(&f16m), err(&mixed));
         assert!(e16 > emx * 1.5, "all-16 {e16} should be worse than mixed {emx}");
         assert!(emx < e32 * 10.0 + 1e-4, "mixed {emx} close to f32 {e32}");
+    }
+
+    /// Training as a scalar loop: one serial `dot` per instance, with
+    /// `mul` and `axpy` written with `F16` operators.
+    fn scalar_fit(data: &RegDataset, config: LinRegConfig) -> Vec<f32> {
+        use pudiannao_softfp::F16;
+        let p = config.precision;
+        let f16 = p != Precision::F32;
+        let (n, d) = (data.len(), data.features.cols());
+        let mut theta = vec![0.0f32; d + 1];
+        let inv_n = 1.0 / n as f32;
+        let mut grad = vec![0.0f32; d + 1];
+        for _ in 0..config.epochs {
+            grad.iter_mut().for_each(|g| *g = 0.0);
+            for i in 0..n {
+                let x = data.features.row(i);
+                let pred = p.dot(&theta[1..], x) + theta[0];
+                let err = pred - data.labels[i];
+                grad[0] += err;
+                for (g, &xj) in grad[1..].iter_mut().zip(x) {
+                    *g += if f16 {
+                        (F16::from_f32(err) * F16::from_f32(xj)).to_f32()
+                    } else {
+                        err * xj
+                    };
+                }
+            }
+            if config.l2 > 0.0 {
+                for (g, &t) in grad[1..].iter_mut().zip(&theta[1..]) {
+                    *g += config.l2 * t;
+                }
+            }
+            let a = -config.learning_rate * inv_n;
+            for (t, &g) in theta.iter_mut().zip(&grad) {
+                let prod = F16::from_f32(a) * F16::from_f32(g);
+                *t = match p {
+                    Precision::F32 => *t + a * g,
+                    Precision::F16All => (F16::from_f32(*t) + prod).to_f32(),
+                    Precision::Mixed => *t + prod.to_f32(),
+                };
+            }
+        }
+        theta
+    }
+
+    #[test]
+    fn grouped_fit_matches_scalar_loop() {
+        let (data, _) = synth::linear_teacher(37, 19, 0.01, 5);
+        for precision in [Precision::F32, Precision::F16All, Precision::Mixed] {
+            for l2 in [0.0, 0.3] {
+                let cfg = LinRegConfig { epochs: 60, learning_rate: 0.2, l2, precision };
+                let got = LinearRegression::fit(&data, cfg).unwrap();
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let want = scalar_fit(&data, cfg);
+                assert_eq!(bits(got.coefficients()), bits(&want), "{precision:?} l2 {l2}");
+            }
+        }
     }
 
     #[test]

@@ -14,17 +14,42 @@
 //!   binary16 (the "all 16bits" column);
 //! - [`Precision::Mixed`] — products in binary16, accumulation in fp32
 //!   (the hardware's "32bits&16bits" column).
+//!
+//! [`Precision::dot`] and [`Precision::squared_distance`] reduce one pair
+//! as a serial chain, each rounding feeding the next. Where many pairs
+//! share a query, as in the SVM kernel rows and LR's per-epoch
+//! predictions, [`RowBlocks`] reduces the query against [`GROUP`] rows
+//! side by side, with the same bits as the chains.
 
-use pudiannao_softfp::F16;
+use pudiannao_datasets::Matrix;
+use pudiannao_softfp::{quantize, F16};
 
-/// One binary16 rounding step on an `f32` value: the `f32` image of
-/// `F16::from_f32(x)`. On inputs that are already binary16 values this is
-/// the identity (binary16 round-trips exactly through `f32`; `softfp`
-/// pins that exhaustively), which is what makes the `*_prequantized`
-/// fast paths below bit-identical to their scalar counterparts.
+/// Rows reduced side by side in one grouped step, as many as the
+/// executor's grouped adder trees reduce at once.
+pub const GROUP: usize = 8;
+
+/// One accumulator per row of a group; lane `l` belongs to row `l`.
+type Lanes = [f32; GROUP];
+
+/// The NaN every reduction returns for a NaN result: binary16's canonical
+/// quiet NaN widened, the NaN [`quantize`] and the `F16` operators give.
+///
+/// Rust leaves the sign and payload of a NaN produced by `f32` arithmetic
+/// unspecified, and they do differ in practice: x86 makes `inf - inf` a
+/// negative NaN, and which NaN an addition of two NaNs keeps depends on
+/// the operand order the compiler picked, which the vectorised reduction
+/// and the scalar chain need not share. Whether a result is NaN does not
+/// depend on that order, so returning this one NaN makes the two agree to
+/// the bit.
+const CANONICAL_NAN: f32 = f32::from_bits(0x7FC0_0000);
+
 #[inline]
-fn round16(x: f32) -> f32 {
-    F16::from_f32(x).to_f32()
+fn canonical(x: f32) -> f32 {
+    if x.is_nan() {
+        CANONICAL_NAN
+    } else {
+        x
+    }
 }
 
 /// Arithmetic mode used by the precision-aware kernels.
@@ -47,7 +72,7 @@ impl Precision {
     pub fn quantize(self, x: f32) -> f32 {
         match self {
             Precision::F32 => x,
-            Precision::F16All | Precision::Mixed => F16::from_f32(x).to_f32(),
+            Precision::F16All | Precision::Mixed => quantize(x),
         }
     }
 
@@ -58,7 +83,7 @@ impl Precision {
     pub fn mul(self, a: f32, b: f32) -> f32 {
         match self {
             Precision::F32 => a * b,
-            Precision::F16All | Precision::Mixed => (F16::from_f32(a) * F16::from_f32(b)).to_f32(),
+            Precision::F16All | Precision::Mixed => quantize(quantize(a) * quantize(b)),
         }
     }
 
@@ -68,6 +93,10 @@ impl Precision {
     /// - `F16All`: binary16 products accumulated in binary16.
     /// - `Mixed`: binary16 products accumulated in fp32 (the Acc stage).
     ///
+    /// A NaN result is always the same quiet NaN, `0x7FC0_0000`. This is
+    /// the scalar reference: [`RowBlocks::dots`] reduces many rows side by
+    /// side and gives the same bits.
+    ///
     /// # Panics
     ///
     /// Panics if the slices have different lengths.
@@ -75,7 +104,7 @@ impl Precision {
     pub fn dot(self, xs: &[f32], ys: &[f32]) -> f32 {
         assert_eq!(xs.len(), ys.len(), "dot product needs equal lengths");
         match self {
-            Precision::F32 => xs.iter().zip(ys).map(|(a, b)| a * b).sum(),
+            Precision::F32 => canonical(xs.iter().zip(ys).map(|(a, b)| a * b).sum()),
             Precision::F16All => {
                 let mut acc = F16::ZERO;
                 for (&a, &b) in xs.iter().zip(ys) {
@@ -88,52 +117,17 @@ impl Precision {
                 for (&a, &b) in xs.iter().zip(ys) {
                     acc += (F16::from_f32(a) * F16::from_f32(b)).to_f32();
                 }
-                acc
-            }
-        }
-    }
-
-    /// [`Precision::dot`] over slices already rounded through
-    /// [`Precision::quantize`] — bit-identical on such inputs, with the
-    /// per-element input conversions hoisted out of the inner loop.
-    ///
-    /// A prequantized operand re-encodes to binary16 losslessly, so
-    /// `F16::from_f32(a) * F16::from_f32(b)` collapses to one rounding of
-    /// the `f32` product. Callers quantize each row **once** (e.g. with
-    /// `pudiannao_softfp::batch::quantize_f32_slice`) instead of once per
-    /// pairing; the Table-1 SVM kernel matrix touches every training row
-    /// `n` times, so this halves its conversion work and more.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths.
-    #[must_use]
-    pub fn dot_prequantized(self, xs: &[f32], ys: &[f32]) -> f32 {
-        assert_eq!(xs.len(), ys.len(), "dot product needs equal lengths");
-        match self {
-            Precision::F32 => xs.iter().zip(ys).map(|(a, b)| a * b).sum(),
-            Precision::F16All => {
-                // The accumulator stays binary16-exact at every step, so
-                // carrying it as `f32` and re-rounding each add matches
-                // the `F16` accumulator bit for bit.
-                let mut acc = 0.0f32;
-                for (&a, &b) in xs.iter().zip(ys) {
-                    acc = round16(acc + round16(a * b));
-                }
-                acc
-            }
-            Precision::Mixed => {
-                let mut acc = 0.0f32;
-                for (&a, &b) in xs.iter().zip(ys) {
-                    acc += round16(a * b);
-                }
-                acc
+                canonical(acc)
             }
         }
     }
 
     /// Squared Euclidean distance in the mode's datapath: differences and
     /// squares at the mode's width, accumulation per the mode.
+    ///
+    /// A NaN result is always the same quiet NaN, as in
+    /// [`Precision::dot`]. This is the scalar reference for
+    /// [`RowBlocks::squared_distances`].
     ///
     /// # Panics
     ///
@@ -142,7 +136,7 @@ impl Precision {
     pub fn squared_distance(self, xs: &[f32], ys: &[f32]) -> f32 {
         assert_eq!(xs.len(), ys.len(), "distance needs equal lengths");
         match self {
-            Precision::F32 => xs.iter().zip(ys).map(|(a, b)| (a - b) * (a - b)).sum(),
+            Precision::F32 => canonical(xs.iter().zip(ys).map(|(a, b)| (a - b) * (a - b)).sum()),
             Precision::F16All => {
                 let mut acc = F16::ZERO;
                 for (&a, &b) in xs.iter().zip(ys) {
@@ -157,39 +151,7 @@ impl Precision {
                     let d = F16::from_f32(a) - F16::from_f32(b);
                     acc += (d * d).to_f32();
                 }
-                acc
-            }
-        }
-    }
-
-    /// [`Precision::squared_distance`] over slices already rounded
-    /// through [`Precision::quantize`] — bit-identical on such inputs,
-    /// with the input conversions hoisted out (see
-    /// [`Precision::dot_prequantized`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths.
-    #[must_use]
-    pub fn squared_distance_prequantized(self, xs: &[f32], ys: &[f32]) -> f32 {
-        assert_eq!(xs.len(), ys.len(), "distance needs equal lengths");
-        match self {
-            Precision::F32 => xs.iter().zip(ys).map(|(a, b)| (a - b) * (a - b)).sum(),
-            Precision::F16All => {
-                let mut acc = 0.0f32;
-                for (&a, &b) in xs.iter().zip(ys) {
-                    let d = round16(a - b);
-                    acc = round16(acc + round16(d * d));
-                }
-                acc
-            }
-            Precision::Mixed => {
-                let mut acc = 0.0f32;
-                for (&a, &b) in xs.iter().zip(ys) {
-                    let d = round16(a - b);
-                    acc += round16(d * d);
-                }
-                acc
+                canonical(acc)
             }
         }
     }
@@ -210,22 +172,164 @@ impl Precision {
                 }
             }
             Precision::F16All => {
-                let a = F16::from_f32(alpha);
+                let a = quantize(alpha);
                 for (y, &x) in ys.iter_mut().zip(xs) {
-                    let updated = F16::from_f32(*y) + a * F16::from_f32(x);
-                    *y = updated.to_f32();
+                    *y = quantize(quantize(*y) + quantize(a * quantize(x)));
                 }
             }
             Precision::Mixed => {
-                let a = F16::from_f32(alpha);
+                let a = quantize(alpha);
                 for (y, &x) in ys.iter_mut().zip(xs) {
                     // 16-bit product, 32-bit accumulate-and-store: the
                     // accumulating side lives in the 32-bit Acc stage /
                     // OutputBuf, which is exactly why the paper's mixed
                     // scheme trains well while all-16-bit stalls.
-                    let prod = (a * F16::from_f32(x)).to_f32();
-                    *y += prod;
+                    *y += quantize(a * quantize(x));
                 }
+            }
+        }
+    }
+}
+
+/// A matrix's rows rounded through a [`Precision`]'s storage format and
+/// transposed into blocks of [`GROUP`] rows, so that one step of a
+/// grouped reduction loads column `k` of `GROUP` rows as one vector.
+/// Lanes past the last row are zero.
+///
+/// [`RowBlocks::dots`] and [`RowBlocks::squared_distances`] reduce a
+/// query against every row, `GROUP` rows side by side: lane `l` of every
+/// step runs exactly row `l`'s scalar [`Precision::dot`] /
+/// [`Precision::squared_distance`] sequence, so each result has the
+/// scalar reference's bits.
+///
+/// ```
+/// use pudiannao_datasets::Matrix;
+/// use pudiannao_mlkit::precision::{Precision, RowBlocks};
+///
+/// let m = Matrix::from_rows(&[&[1.0, 2.0], &[0.1, -3.0], &[5.0, 0.5]]);
+/// let blocks = RowBlocks::new(Precision::Mixed, &m);
+/// let query = [0.3, 0.7];
+/// let mut out = [0.0; 3];
+/// blocks.dots(&query, 0, &mut out);
+/// for (r, &v) in out.iter().enumerate() {
+///     assert_eq!(v.to_bits(), Precision::Mixed.dot(&query, m.row(r)).to_bits());
+/// }
+/// ```
+#[derive(Clone, Debug, PartialEq)]
+pub struct RowBlocks {
+    precision: Precision,
+    rows: usize,
+    cols: usize,
+    /// Block `b`'s column `k` at `b * cols + k`; lane `l` is row
+    /// `b * GROUP + l`.
+    lanes: Vec<Lanes>,
+}
+
+impl RowBlocks {
+    /// Rounds `m` through `precision` and transposes its rows.
+    #[must_use]
+    pub fn new(precision: Precision, m: &Matrix) -> RowBlocks {
+        let (rows, cols) = (m.rows(), m.cols());
+        let mut lanes = vec![[0.0f32; GROUP]; rows.div_ceil(GROUP) * cols];
+        for (r, row) in m.iter_rows().enumerate() {
+            let block = &mut lanes[r / GROUP * cols..][..cols];
+            for (column, &v) in block.iter_mut().zip(row) {
+                column[r % GROUP] = precision.quantize(v);
+            }
+        }
+        RowBlocks { precision, rows, cols, lanes }
+    }
+
+    /// The mode the rows were rounded through and are reduced in.
+    #[must_use]
+    pub fn precision(&self) -> Precision {
+        self.precision
+    }
+
+    /// Number of rows.
+    #[must_use]
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Number of columns.
+    #[must_use]
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Row `r`, gathered back out of its block.
+    #[cfg(test)]
+    pub(crate) fn row(&self, r: usize) -> Vec<f32> {
+        let block = &self.lanes[r / GROUP * self.cols..][..self.cols];
+        block.iter().map(|column| column[r % GROUP]).collect()
+    }
+
+    /// `precision.dot(x, row)` for the rows of every block from the one
+    /// holding row `from` on: row `j`'s result lands in `out[j]`, from
+    /// `j = from / GROUP * GROUP`; earlier entries are left as they are.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not [`RowBlocks::cols`] long or `out` not
+    /// [`RowBlocks::rows`] long.
+    pub fn dots(&self, x: &[f32], from: usize, out: &mut [f32]) {
+        match self.precision {
+            Precision::F32 => self.reduce(x, from, out, -0.0, |acc, a, b| acc + a * b),
+            Precision::F16All => {
+                self.reduce(x, from, out, 0.0, |acc, a, b| quantize(acc + quantize(a * b)));
+            }
+            Precision::Mixed => self.reduce(x, from, out, 0.0, |acc, a, b| acc + quantize(a * b)),
+        }
+    }
+
+    /// `precision.squared_distance(x, row)` for the rows of every block
+    /// from the one holding row `from` on, laid out as in
+    /// [`RowBlocks::dots`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not [`RowBlocks::cols`] long or `out` not
+    /// [`RowBlocks::rows`] long.
+    pub fn squared_distances(&self, x: &[f32], from: usize, out: &mut [f32]) {
+        let leaf = |a: f32, b: f32| {
+            let d = quantize(a - b);
+            quantize(d * d)
+        };
+        match self.precision {
+            Precision::F32 => self.reduce(x, from, out, -0.0, |acc, a, b| acc + (a - b) * (a - b)),
+            Precision::F16All => {
+                self.reduce(x, from, out, 0.0, |acc, a, b| quantize(acc + leaf(a, b)))
+            }
+            Precision::Mixed => self.reduce(x, from, out, 0.0, |acc, a, b| acc + leaf(a, b)),
+        }
+    }
+
+    /// Runs `step(acc, x[k], row[k])` over `k` for every row of the blocks
+    /// from the one holding row `from` on, starting each accumulator at
+    /// `init`, one block of [`GROUP`] rows at a time.
+    fn reduce(
+        &self,
+        x: &[f32],
+        from: usize,
+        out: &mut [f32],
+        init: f32,
+        step: impl Fn(f32, f32, f32) -> f32 + Copy,
+    ) {
+        assert_eq!(x.len(), self.cols, "grouped reduction needs a row-wide query");
+        assert_eq!(out.len(), self.rows, "grouped reduction writes one result per row");
+        let x: Vec<f32> = x.iter().map(|&v| self.precision.quantize(v)).collect();
+        for first in (from / GROUP * GROUP..self.rows).step_by(GROUP) {
+            let block = &self.lanes[first / GROUP * self.cols..][..self.cols];
+            let mut acc = [init; GROUP];
+            for (&a, column) in x.iter().zip(block) {
+                for (s, &b) in acc.iter_mut().zip(column) {
+                    *s = step(*s, a, b);
+                }
+            }
+            let count = GROUP.min(self.rows - first);
+            for (o, &v) in out[first..first + count].iter_mut().zip(&acc) {
+                *o = canonical(v);
             }
         }
     }
@@ -313,48 +417,50 @@ mod tests {
             .collect()
     }
 
+    /// The `F16`-operator forms `mul` and `axpy` had before they moved to
+    /// `quantize`.
+    fn f16_mul(a: f32, b: f32) -> f32 {
+        (F16::from_f32(a) * F16::from_f32(b)).to_f32()
+    }
+
+    fn f16_axpy(precision: Precision, alpha: f32, xs: &[f32], ys: &mut [f32]) {
+        let a = F16::from_f32(alpha);
+        for (y, &x) in ys.iter_mut().zip(xs) {
+            let prod = a * F16::from_f32(x);
+            *y = match precision {
+                Precision::F16All => (F16::from_f32(*y) + prod).to_f32(),
+                _ => *y + prod.to_f32(),
+            };
+        }
+    }
+
     #[test]
-    fn prequantized_dot_is_bit_identical() {
-        for precision in [Precision::F32, Precision::F16All, Precision::Mixed] {
+    fn elementwise_ops_match_f16_operators() {
+        for precision in [Precision::F16All, Precision::Mixed] {
             for seed in 0..8u64 {
                 let xs = stress_values(seed, 257);
                 let ys = stress_values(seed + 100, 257);
-                let qxs: Vec<f32> = xs.iter().map(|&v| precision.quantize(v)).collect();
-                let qys: Vec<f32> = ys.iter().map(|&v| precision.quantize(v)).collect();
-                // The scalar path quantizes internally, so feeding it raw
-                // or prequantized inputs must agree; the fast path must
-                // match both bit for bit.
-                let reference = precision.dot(&xs, &ys);
-                let fast = precision.dot_prequantized(&qxs, &qys);
-                if precision == Precision::F32 {
-                    assert_eq!(reference.to_bits(), precision.dot_prequantized(&xs, &ys).to_bits());
-                } else {
-                    assert_eq!(reference.to_bits(), fast.to_bits(), "{precision:?} seed {seed}");
-                    assert_eq!(fast.to_bits(), precision.dot(&qxs, &qys).to_bits());
+                for (&a, &b) in xs.iter().zip(&ys) {
+                    let want = F16::from_f32(a).to_f32();
+                    assert_eq!(precision.quantize(a).to_bits(), want.to_bits());
+                    assert_eq!(precision.mul(a, b).to_bits(), f16_mul(a, b).to_bits(), "{a} * {b}");
+                }
+                for alpha in [xs[3], -0.37, 1e-6, 7e4] {
+                    let (mut got, mut want) = (ys.clone(), ys.clone());
+                    precision.axpy(alpha, &xs, &mut got);
+                    f16_axpy(precision, alpha, &xs, &mut want);
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&got), bits(&want), "{precision:?} alpha {alpha}");
                 }
             }
         }
     }
 
     #[test]
-    fn prequantized_distance_is_bit_identical() {
-        for precision in [Precision::F32, Precision::F16All, Precision::Mixed] {
-            for seed in 0..8u64 {
-                let xs = stress_values(seed + 50, 193);
-                let ys = stress_values(seed + 200, 193);
-                let qxs: Vec<f32> = xs.iter().map(|&v| precision.quantize(v)).collect();
-                let qys: Vec<f32> = ys.iter().map(|&v| precision.quantize(v)).collect();
-                let reference = precision.squared_distance(&xs, &ys);
-                let fast = precision.squared_distance_prequantized(&qxs, &qys);
-                if precision == Precision::F32 {
-                    let raw = precision.squared_distance_prequantized(&xs, &ys);
-                    assert_eq!(reference.to_bits(), raw.to_bits());
-                } else {
-                    assert_eq!(reference.to_bits(), fast.to_bits(), "{precision:?} seed {seed}");
-                    assert_eq!(fast.to_bits(), precision.squared_distance(&qxs, &qys).to_bits());
-                }
-            }
-        }
+    #[should_panic(expected = "row-wide query")]
+    fn grouped_reduction_rejects_a_short_query() {
+        let blocks = RowBlocks::new(Precision::F32, &Matrix::zeros(3, 4));
+        blocks.dots(&[1.0; 3], 0, &mut [0.0; 3]);
     }
 
     #[test]

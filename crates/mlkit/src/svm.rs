@@ -6,9 +6,10 @@
 //! over the support vectors; the kernel function itself is what the Misc
 //! stage's linear-interpolation unit accelerates.
 
-use crate::precision::Precision;
+use crate::precision::{Precision, RowBlocks, GROUP};
 use crate::{Error, Result};
 use pudiannao_datasets::{ClassDataset, Matrix};
+use pudiannao_softfp::F16;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -44,57 +45,56 @@ impl Kernel {
     /// Evaluates the kernel on two instances in the given datapath: the
     /// dot product / distance uses the mode's arithmetic, the non-linear
     /// wrapper runs at 32 bits (it is Misc-stage work).
+    ///
+    /// This is the scalar reference; training and prediction evaluate
+    /// whole kernel rows with the grouped reductions of [`RowBlocks`].
     #[must_use]
     pub fn eval(&self, precision: Precision, a: &[f32], b: &[f32]) -> f32 {
+        let reduced = match self {
+            Kernel::Rbf { .. } => precision.squared_distance(a, b),
+            _ => precision.dot(a, b),
+        };
+        self.wrap(reduced)
+    }
+
+    /// The kernel's non-linear wrapper around its dot product or squared
+    /// distance, at 32 bits.
+    fn wrap(&self, reduced: f32) -> f32 {
         match *self {
-            Kernel::Linear => precision.dot(a, b),
-            Kernel::Rbf { gamma } => (-gamma * precision.squared_distance(a, b)).exp(),
-            Kernel::Poly { degree, coef } => (precision.dot(a, b) + coef).powi(degree as i32),
-            Kernel::Sigmoid { scale, offset } => (scale * precision.dot(a, b) + offset).tanh(),
+            Kernel::Linear => reduced,
+            Kernel::Rbf { gamma } => (-gamma * reduced).exp(),
+            Kernel::Poly { degree, coef } => (reduced + coef).powi(degree as i32),
+            Kernel::Sigmoid { scale, offset } => (scale * reduced + offset).tanh(),
         }
     }
 
-    /// [`Kernel::eval`] over operands already rounded through
-    /// [`Precision::quantize`] — bit-identical on such inputs, but the
-    /// inner loop skips the per-element operand conversions (see
-    /// [`Precision::dot_prequantized`]). This is what makes quantizing
-    /// the training matrix once per fit pay off: each row enters `n`
-    /// kernel evaluations.
-    #[must_use]
-    pub fn eval_prequantized(&self, precision: Precision, a: &[f32], b: &[f32]) -> f32 {
-        match *self {
-            Kernel::Linear => precision.dot_prequantized(a, b),
-            Kernel::Rbf { gamma } => (-gamma * precision.squared_distance_prequantized(a, b)).exp(),
-            Kernel::Poly { degree, coef } => {
-                (precision.dot_prequantized(a, b) + coef).powi(degree as i32)
-            }
-            Kernel::Sigmoid { scale, offset } => {
-                (scale * precision.dot_prequantized(a, b) + offset).tanh()
-            }
+    /// `self.eval(rows.precision(), x, row)` for the rows of every block
+    /// of `rows` from the one holding row `from` on, laid out as
+    /// [`RowBlocks::dots`] lays them out.
+    fn eval_rows(&self, rows: &RowBlocks, x: &[f32], from: usize, out: &mut [f32]) {
+        match self {
+            Kernel::Rbf { .. } => rows.squared_distances(x, from, out),
+            _ => rows.dots(x, from, out),
+        }
+        for v in &mut out[from / GROUP * GROUP..] {
+            *v = self.wrap(*v);
         }
     }
 }
 
-/// Rounds every element of a matrix through `precision`'s storage format
-/// in one batch pass; returns `None` when that is the identity (fp32).
-fn quantize_matrix(precision: Precision, x: &Matrix) -> Option<Matrix> {
-    if precision == Precision::F32 {
-        return None;
-    }
-    let mut data = x.as_slice().to_vec();
-    pudiannao_softfp::batch::quantize_f32_slice(&mut data);
-    Some(Matrix::from_vec(data, x.rows(), x.cols()))
-}
-
-/// The full `n x n` kernel matrix over prequantized rows — "the most
+/// The full `n x n` kernel matrix of the rows of `x` — "the most
 /// time-consuming step in SMO". Label-independent, so one-vs-rest
 /// training computes it once and shares it across the per-class machines.
-fn kernel_matrix(kernel: Kernel, precision: Precision, xq: &Matrix) -> Vec<f32> {
-    let n = xq.rows();
+/// Row `i` is evaluated against the blocks holding rows `i..n`; lanes
+/// below `i` are dropped and the upper triangle mirrored.
+fn kernel_matrix(kernel: Kernel, precision: Precision, x: &Matrix) -> Vec<f32> {
+    let n = x.rows();
+    let rows = RowBlocks::new(precision, x);
     let mut m = vec![0.0f32; n * n];
+    let mut kvals = vec![0.0f32; n];
     for i in 0..n {
-        for j in i..n {
-            let v = kernel.eval_prequantized(precision, xq.row(i), xq.row(j));
+        kernel.eval_rows(&rows, x.row(i), i, &mut kvals);
+        for (j, &v) in kvals.iter().enumerate().skip(i) {
             m[i * n + j] = v;
             m[j * n + i] = v;
         }
@@ -103,16 +103,25 @@ fn kernel_matrix(kernel: Kernel, precision: Precision, xq: &Matrix) -> Vec<f32> 
 }
 
 /// Input validation shared by the single-machine and one-vs-rest fits.
-fn validate_fit(x: &Matrix, y: &[f32], config: &SvmConfig) -> Result<()> {
-    let n = x.rows();
-    if n == 0 || x.cols() == 0 {
+fn validate_config(x: &Matrix, config: &SvmConfig) -> Result<()> {
+    if x.rows() == 0 || x.cols() == 0 {
         return Err(Error::EmptyDataset);
     }
-    if y.len() != n {
-        return Err(Error::DimensionMismatch { expected: n, actual: y.len() });
+    // SMO updates multipliers in pairs of distinct instances.
+    if x.rows() < 2 {
+        return Err(Error::TooFewInstances { required: 2, actual: x.rows() });
     }
     if !(config.c > 0.0) {
         return Err(Error::InvalidConfig("C must be positive"));
+    }
+    Ok(())
+}
+
+/// [`validate_config`] plus the binary labels of one machine.
+fn validate_fit(x: &Matrix, y: &[f32], config: &SvmConfig) -> Result<()> {
+    validate_config(x, config)?;
+    if y.len() != x.rows() {
+        return Err(Error::DimensionMismatch { expected: x.rows(), actual: y.len() });
     }
     if y.iter().any(|&v| v != 1.0 && v != -1.0) {
         return Err(Error::InvalidConfig("binary labels must be -1 or +1"));
@@ -177,14 +186,11 @@ impl Default for SvmConfig {
 /// ```
 #[derive(Clone, Debug)]
 pub struct BinarySvm {
-    /// Support vectors, stored already rounded through the model's
-    /// precision so `decision` can use the prequantized kernel path.
-    support: Matrix,
-    /// Per support vector: `alpha_i * y_i`.
-    alpha_y: Vec<f32>,
-    bias: f32,
+    /// Support vectors, transposed once at fit time for the grouped
+    /// kernel row.
+    support: RowBlocks,
+    dual: Dual,
     kernel: Kernel,
-    precision: Precision,
 }
 
 impl BinarySvm {
@@ -193,32 +199,24 @@ impl BinarySvm {
     /// # Errors
     ///
     /// [`Error::EmptyDataset`] for empty inputs,
+    /// [`Error::TooFewInstances`] for a single instance,
     /// [`Error::DimensionMismatch`] if `y` and `x` disagree,
     /// [`Error::InvalidConfig`] for non-positive `c` or labels outside
     /// {-1, +1}.
     pub fn fit(x: &Matrix, y: &[f32], config: SvmConfig) -> Result<BinarySvm> {
         validate_fit(x, y, &config)?;
-        // Quantize the training matrix once up front instead of letting
-        // `Kernel::eval` re-round every operand of every pairing — the
-        // prequantized evaluations are bit-identical, so the fitted model
-        // does not change.
-        let xq = quantize_matrix(config.precision, x);
-        let xq: &Matrix = xq.as_ref().unwrap_or(x);
-        let kmat = kernel_matrix(config.kernel, config.precision, xq);
-        Ok(BinarySvm::fit_prepared(xq, y, config, &kmat)?.0)
+        let kmat = kernel_matrix(config.kernel, config.precision, x);
+        let (dual, sv_idx) = BinarySvm::fit_prepared(y, &config, &kmat);
+        let support = RowBlocks::new(config.precision, &x.select_rows(&sv_idx));
+        Ok(BinarySvm { support, dual, kernel: config.kernel })
     }
 
-    /// SMO over an already-quantized matrix and precomputed kernel matrix.
-    /// Returns the machine and the support-vector row indices into `xq`
-    /// (so a one-vs-rest wrapper can map machines onto shared rows).
-    fn fit_prepared(
-        xq: &Matrix,
-        y: &[f32],
-        config: SvmConfig,
-        kmat: &[f32],
-    ) -> Result<(BinarySvm, Vec<usize>)> {
-        validate_fit(xq, y, &config)?;
-        let n = xq.rows();
+    /// SMO over a precomputed `n x n` kernel matrix, for inputs
+    /// [`validate_fit`] accepted. Returns the machine's dual coefficients
+    /// and its support vectors' row indices, in the same order (so a
+    /// one-vs-rest wrapper can map machines onto shared rows).
+    fn fit_prepared(y: &[f32], config: &SvmConfig, kmat: &[f32]) -> (Dual, Vec<usize>) {
+        let n = y.len();
         let p = config.precision;
         let k = |i: usize, j: usize| kmat[i * n + j];
 
@@ -227,9 +225,12 @@ impl BinarySvm {
         let mut rng = StdRng::seed_from_u64(config.seed);
 
         // In the all-16-bit mode the optimiser state itself lives in
-        // 16-bit storage and the decision sums accumulate at 16 bits —
-        // this, not the kernel values, is what wrecks the paper's
-        // all-16-bit SVM accuracy (Table 1: 37.7%).
+        // 16-bit storage and the decision sums accumulate at 16 bits. This
+        // is not what wrecks all-16-bit SVM accuracy (Table 1: 37.7% in the
+        // paper); the kernel values are. On `table1_precision`'s SVM,
+        // all-16-bit kernels with this state and these sums at 32 bits
+        // still score 17.3% of fp32, and mixed kernels with them at 16 bits
+        // score 100.0%.
         let q = |v: f32| -> f32 {
             if p == crate::precision::Precision::F16All {
                 pudiannao_softfp::F16::from_f32(v).to_f32()
@@ -310,20 +311,16 @@ impl BinarySvm {
             passes = if changed == 0 { passes + 1 } else { 0 };
         }
 
-        // Compact to support vectors only, keeping the prequantized rows:
-        // `decision` re-rounds its operands anyway, so storing the rounded
-        // values changes nothing except skipping that work per query.
+        // Compact to support vectors only.
         let sv_idx: Vec<usize> = (0..n).filter(|&i| alpha[i] > 0.0).collect();
-        let support = xq.select_rows(&sv_idx);
         let alpha_y = sv_idx.iter().map(|&i| alpha[i] * y[i]).collect();
-        let machine = BinarySvm { support, alpha_y, bias: b, kernel: config.kernel, precision: p };
-        Ok((machine, sv_idx))
+        (Dual { alpha_y, bias: b }, sv_idx)
     }
 
     /// Number of support vectors retained.
     #[must_use]
     pub fn support_vectors(&self) -> usize {
-        self.alpha_y.len()
+        self.dual.alpha_y.len()
     }
 
     /// The decision value `sum_i alpha_i y_i k(x, sv_i) + b`; positive
@@ -333,80 +330,63 @@ impl BinarySvm {
     ///
     /// [`Error::DimensionMismatch`] if the feature width differs.
     pub fn decision(&self, x: &[f32]) -> Result<f32> {
-        if x.len() != self.support.cols() {
-            return Err(Error::DimensionMismatch {
-                expected: self.support.cols(),
-                actual: x.len(),
-            });
-        }
-        // Quantize the query once; the stored support vectors are already
-        // rounded, so every kernel evaluation takes the prequantized path.
-        let quantized;
-        let xq: &[f32] = if self.precision == Precision::F32 {
-            x
-        } else {
-            let mut q = x.to_vec();
-            pudiannao_softfp::batch::quantize_f32_slice(&mut q);
-            quantized = q;
-            &quantized
-        };
-        if self.precision == Precision::F16All {
-            // 16-bit accumulation at prediction time, too.
-            let mut s = pudiannao_softfp::F16::from_f32(self.bias);
-            for (sv, &ay) in self.support.iter_rows().zip(&self.alpha_y) {
-                s += pudiannao_softfp::F16::from_f32(ay)
-                    * pudiannao_softfp::F16::from_f32(self.kernel.eval_prequantized(
-                        self.precision,
-                        xq,
-                        sv,
-                    ));
-            }
-            return Ok(s.to_f32());
-        }
-        let mut s = self.bias;
-        for (sv, &ay) in self.support.iter_rows().zip(&self.alpha_y) {
-            s += ay * self.kernel.eval_prequantized(self.precision, xq, sv);
-        }
-        Ok(s)
+        let kvals = kernel_row(self.kernel, &self.support, x)?;
+        Ok(self.dual.decision(self.support.precision(), kvals.into_iter()))
     }
+}
 
-    /// The decision value from precomputed kernel evaluations: `map[i]`
-    /// indexes support vector `i`'s entry in `kvals`. Accumulates exactly
-    /// like [`BinarySvm::decision`], so with bitwise-equal kernel values
-    /// the result is bitwise equal.
-    fn decision_from_kernel_values(&self, map: &[u32], kvals: &[f32]) -> f32 {
-        if self.precision == Precision::F16All {
-            let mut s = pudiannao_softfp::F16::from_f32(self.bias);
-            for (&ay, &ri) in self.alpha_y.iter().zip(map) {
-                s += pudiannao_softfp::F16::from_f32(ay)
-                    * pudiannao_softfp::F16::from_f32(kvals[ri as usize]);
+/// One binary machine's dual coefficients: `alpha_i * y_i` per support
+/// vector, and the bias.
+#[derive(Clone, Debug)]
+struct Dual {
+    alpha_y: Vec<f32>,
+    bias: f32,
+}
+
+impl Dual {
+    /// The decision value `sum_i alpha_i y_i k_i + b` from the support
+    /// vectors' kernel values `k_i`, in support-vector order. The sum is
+    /// serial, and all-16-bit accumulates it at 16 bits.
+    fn decision(&self, precision: Precision, kvals: impl Iterator<Item = f32>) -> f32 {
+        if precision == Precision::F16All {
+            let mut s = F16::from_f32(self.bias);
+            for (&ay, k) in self.alpha_y.iter().zip(kvals) {
+                s += F16::from_f32(ay) * F16::from_f32(k);
             }
             return s.to_f32();
         }
         let mut s = self.bias;
-        for (&ay, &ri) in self.alpha_y.iter().zip(map) {
-            s += ay * kvals[ri as usize];
+        for (&ay, k) in self.alpha_y.iter().zip(kvals) {
+            s += ay * k;
         }
         s
     }
 }
 
-/// Support-vector rows shared by the one-vs-rest machines: the union of
-/// every machine's support vectors (prequantized), plus each machine's
-/// indices into it. One kernel evaluation per union row serves all
-/// machines when predicting — the per-class SV sets overlap heavily.
-#[derive(Clone, Debug)]
-struct SharedSupport {
-    rows: Matrix,
-    /// Per machine, parallel to its `alpha_y`: positions in `rows`.
-    maps: Vec<Vec<u32>>,
+/// The query's kernel values against every row of `rows`.
+fn kernel_row(kernel: Kernel, rows: &RowBlocks, x: &[f32]) -> Result<Vec<f32>> {
+    if x.len() != rows.cols() {
+        return Err(Error::DimensionMismatch { expected: rows.cols(), actual: x.len() });
+    }
+    let mut kvals = vec![0.0f32; rows.rows()];
+    kernel.eval_rows(rows, x, 0, &mut kvals);
+    Ok(kvals)
 }
 
-/// Multi-class SVM via one-vs-rest over [`BinarySvm`].
+/// Multi-class SVM via one-vs-rest over binary machines.
+///
+/// The machines share one transposed copy of their support rows: the
+/// union of every machine's support vectors. One kernel evaluation per
+/// union row serves all machines when predicting — the per-class SV sets
+/// overlap heavily.
 #[derive(Clone, Debug)]
 pub struct SvmClassifier {
-    machines: Vec<BinarySvm>,
-    shared: SharedSupport,
+    support: RowBlocks,
+    kernel: Kernel,
+    /// Per class: the machine's dual coefficients.
+    machines: Vec<Dual>,
+    /// Per class, parallel to its `alpha_y`: positions in `support`.
+    maps: Vec<Vec<u32>>,
 }
 
 impl SvmClassifier {
@@ -416,30 +396,21 @@ impl SvmClassifier {
     ///
     /// # Errors
     ///
-    /// Propagates [`BinarySvm::fit`] errors; [`Error::EmptyDataset`] when
-    /// the dataset has no instances.
+    /// [`Error::EmptyDataset`] when the dataset has no instances or no
+    /// features, [`Error::TooFewInstances`] for a single instance,
+    /// [`Error::InvalidConfig`] for non-positive `c`.
     pub fn fit(data: &ClassDataset, config: SvmConfig) -> Result<SvmClassifier> {
-        if data.is_empty() {
-            return Err(Error::EmptyDataset);
-        }
         let x = &data.features;
-        if x.cols() == 0 {
-            return Err(Error::EmptyDataset);
-        }
-        if !(config.c > 0.0) {
-            return Err(Error::InvalidConfig("C must be positive"));
-        }
+        validate_config(x, &config)?;
         let n = x.rows();
-        let xq = quantize_matrix(config.precision, x);
-        let xq: &Matrix = xq.as_ref().unwrap_or(x);
-        let kmat = kernel_matrix(config.kernel, config.precision, xq);
+        let kmat = kernel_matrix(config.kernel, config.precision, x);
         let classes = data.classes();
         let mut machines = Vec::with_capacity(classes);
         let mut sv_indices = Vec::with_capacity(classes);
         for c in 0..classes {
             let y: Vec<f32> =
                 data.labels.iter().map(|&l| if l == c { 1.0 } else { -1.0 }).collect();
-            let (machine, sv_idx) = BinarySvm::fit_prepared(xq, &y, config, &kmat)?;
+            let (machine, sv_idx) = BinarySvm::fit_prepared(&y, &config, &kmat);
             machines.push(machine);
             sv_indices.push(sv_idx);
         }
@@ -452,12 +423,26 @@ impl SvmClassifier {
                 union_idx.push(*idx);
             }
         }
-        let rows = xq.select_rows(&union_idx);
+        let support = RowBlocks::new(config.precision, &x.select_rows(&union_idx));
         let maps = sv_indices
             .into_iter()
             .map(|idx| idx.into_iter().map(|i| union_pos[i]).collect())
             .collect();
-        Ok(SvmClassifier { machines, shared: SharedSupport { rows, maps } })
+        Ok(SvmClassifier { support, kernel: config.kernel, machines, maps })
+    }
+
+    /// Every class's decision value for one query: one grouped kernel row
+    /// over the union rows, summed per machine like
+    /// [`BinarySvm::decision`].
+    fn decisions(&self, x: &[f32]) -> Result<Vec<f32>> {
+        let kvals = kernel_row(self.kernel, &self.support, x)?;
+        let precision = self.support.precision();
+        Ok(self
+            .machines
+            .iter()
+            .zip(&self.maps)
+            .map(|(m, map)| m.decision(precision, map.iter().map(|&r| kvals[r as usize])))
+            .collect())
     }
 
     /// Predicts the class with the largest decision value.
@@ -466,32 +451,8 @@ impl SvmClassifier {
     ///
     /// [`Error::DimensionMismatch`] if the feature width differs.
     pub fn predict_one(&self, x: &[f32]) -> Result<usize> {
-        let shared = &self.shared;
-        if x.len() != shared.rows.cols() {
-            return Err(Error::DimensionMismatch { expected: shared.rows.cols(), actual: x.len() });
-        }
-        let precision = self.machines.first().map_or(Precision::F32, |m| m.precision);
-        let kernel = self.machines.first().map_or(Kernel::Linear, |m| m.kernel);
-        // Quantize the query once, evaluate the kernel once per union
-        // row, and let every machine sum its own subset — each decision
-        // value is bit-identical to [`BinarySvm::decision`].
-        let quantized;
-        let xq: &[f32] = if precision == Precision::F32 {
-            x
-        } else {
-            let mut q = x.to_vec();
-            pudiannao_softfp::batch::quantize_f32_slice(&mut q);
-            quantized = q;
-            &quantized
-        };
-        let kvals: Vec<f32> = shared
-            .rows
-            .iter_rows()
-            .map(|row| kernel.eval_prequantized(precision, xq, row))
-            .collect();
         let mut best = (0usize, f32::NEG_INFINITY);
-        for (c, (m, map)) in self.machines.iter().zip(&shared.maps).enumerate() {
-            let d = m.decision_from_kernel_values(map, &kvals);
+        for (c, d) in self.decisions(x)?.into_iter().enumerate() {
             if d > best.1 {
                 best = (c, d);
             }
@@ -511,7 +472,7 @@ impl SvmClassifier {
     /// Total support vectors across the per-class machines.
     #[must_use]
     pub fn support_vectors(&self) -> usize {
-        self.machines.iter().map(BinarySvm::support_vectors).sum()
+        self.machines.iter().map(|m| m.alpha_y.len()).sum()
     }
 }
 
@@ -574,25 +535,121 @@ mod tests {
         assert!(m.support_vectors() < data.len(), "not every point should be a SV");
     }
 
+    const KERNELS: [Kernel; 4] = [
+        Kernel::Linear,
+        Kernel::Rbf { gamma: 0.7 },
+        Kernel::Poly { degree: 3, coef: 0.5 },
+        Kernel::Sigmoid { scale: 0.3, offset: -0.1 },
+    ];
+    const PRECISIONS: [Precision; 3] = [Precision::F32, Precision::F16All, Precision::Mixed];
+
+    /// `rows x cols` values whose magnitude class changes row by row:
+    /// not binary16-exact, binary16-subnormal, and large enough that sums
+    /// of squares overflow binary16.
+    fn mixed_rows(rows: usize, cols: usize) -> Matrix {
+        let value = |r: usize, c: usize| {
+            let v = ((r * 37 + c * 53) % 101) as f32 / 50.0 - 1.0;
+            match r % 3 {
+                0 => v * 0.9,
+                1 => v * 3e-6,
+                _ => v * 300.0,
+            }
+        };
+        Matrix::from_vec((0..rows * cols).map(|i| value(i / cols, i % cols)).collect(), rows, cols)
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
-    fn prequantized_eval_matches_eval_bitwise() {
-        let kernels = [
-            Kernel::Linear,
-            Kernel::Rbf { gamma: 0.7 },
-            Kernel::Poly { degree: 3, coef: 0.5 },
-            Kernel::Sigmoid { scale: 0.3, offset: -0.1 },
-        ];
-        let a: Vec<f32> = (0..97).map(|i| ((i * 37 % 101) as f32 - 50.0) * 0.03).collect();
-        let b: Vec<f32> = (0..97).map(|i| ((i * 53 % 89) as f32 - 44.0) * 0.07).collect();
-        for precision in [Precision::F32, Precision::F16All, Precision::Mixed] {
-            let qa: Vec<f32> = a.iter().map(|&v| precision.quantize(v)).collect();
-            let qb: Vec<f32> = b.iter().map(|&v| precision.quantize(v)).collect();
-            for kernel in kernels {
-                let reference = kernel.eval(precision, &a, &b);
-                let fast = kernel.eval_prequantized(precision, &qa, &qb);
-                assert_eq!(reference.to_bits(), fast.to_bits(), "{kernel:?} {precision:?}");
+    fn kernel_matrix_matches_scalar_eval() {
+        let x = mixed_rows(19, 37);
+        for precision in PRECISIONS {
+            for kernel in KERNELS {
+                let got = kernel_matrix(kernel, precision, &x);
+                let want: Vec<f32> = (0..19 * 19)
+                    .map(|ij| kernel.eval(precision, x.row(ij / 19), x.row(ij % 19)))
+                    .collect();
+                assert_eq!(bits(&got), bits(&want), "{kernel:?} {precision:?}");
             }
         }
+    }
+
+    /// The decision value summed in an in-test loop over scalar
+    /// [`Kernel::eval`] values.
+    fn scalar_decision(
+        kernel: Kernel,
+        precision: Precision,
+        x: &[f32],
+        support: &[Vec<f32>],
+        dual: &Dual,
+    ) -> f32 {
+        let kvals = support.iter().map(|sv| kernel.eval(precision, x, sv));
+        if precision == Precision::F16All {
+            let mut s = F16::from_f32(dual.bias);
+            for (&ay, k) in dual.alpha_y.iter().zip(kvals) {
+                s += F16::from_f32(ay) * F16::from_f32(k);
+            }
+            return s.to_f32();
+        }
+        let mut s = dual.bias;
+        for (&ay, k) in dual.alpha_y.iter().zip(kvals) {
+            s += ay * k;
+        }
+        s
+    }
+
+    #[test]
+    fn decisions_match_scalar_kernel_rows() {
+        let data = synth::gaussian_blobs(&synth::BlobsConfig {
+            instances: 60,
+            features: 21,
+            classes: 3,
+            spread: 0.3,
+            seed: 4,
+        });
+        let queries = mixed_rows(11, 21);
+        for precision in PRECISIONS {
+            for kernel in KERNELS {
+                let cfg = SvmConfig { kernel, precision, max_iters: 20, ..Default::default() };
+                let y: Vec<f32> =
+                    data.labels.iter().map(|&l| if l == 1 { 1.0 } else { -1.0 }).collect();
+                let binary = BinarySvm::fit(&data.features, &y, cfg).unwrap();
+                let multi = SvmClassifier::fit(&data, cfg).unwrap();
+                let binary_sv: Vec<Vec<f32>> =
+                    (0..binary.support.rows()).map(|r| binary.support.row(r)).collect();
+                for q in (0..11).map(|i| queries.row(i)).chain([data.features.row(5)]) {
+                    let got = binary.decision(q).unwrap();
+                    let want = scalar_decision(kernel, precision, q, &binary_sv, &binary.dual);
+                    assert_eq!(got.to_bits(), want.to_bits(), "binary {kernel:?} {precision:?}");
+                    let want: Vec<f32> = multi
+                        .machines
+                        .iter()
+                        .zip(&multi.maps)
+                        .map(|(m, map)| {
+                            let sv: Vec<Vec<f32>> =
+                                map.iter().map(|&r| multi.support.row(r as usize)).collect();
+                            scalar_decision(kernel, precision, q, &sv, m)
+                        })
+                        .collect();
+                    let got = multi.decisions(q).unwrap();
+                    assert_eq!(bits(&got), bits(&want), "one-vs-rest {kernel:?} {precision:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_instance_fits_are_rejected() {
+        let data = synth::linearly_separable(1, 4, 1.0, 3);
+        let too_few = Some(Error::TooFewInstances { required: 2, actual: 1 });
+        assert_eq!(BinarySvm::fit(&data.features, &[1.0], SvmConfig::default()).err(), too_few);
+        assert_eq!(SvmClassifier::fit(&data, SvmConfig::default()).err(), too_few);
+        // Two instances are enough for SMO to pair them.
+        let two = synth::linearly_separable(2, 4, 1.0, 3);
+        assert!(BinarySvm::fit(&two.features, &[1.0, -1.0], SvmConfig::default()).is_ok());
+        assert!(SvmClassifier::fit(&two, SvmConfig::default()).is_ok());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 #
 #   scripts/check.sh             # full gate
 #   scripts/check.sh --fast      # skip the release build
-#   scripts/check.sh --bench     # hot-path timings + parallel-determinism check
+#   scripts/check.sh --bench     # hot-path timings + parallel determinism + committed repro reports
 #   scripts/check.sh --faults    # fault-campaign smoke + pinned outcomes + committed full report
 #   scripts/check.sh --profile   # timeline smoke + pinned bottleneck verdicts
 #   scripts/check.sh --perf-gate # per-phase cycle/energy regression gate
@@ -315,6 +315,13 @@ if [[ "${1:-}" == "--bench" ]]; then
     cmp "$tmp/seq_summary.json" "$tmp/repro_summary.json"
     cmp "$tmp/seq_phases.json" "$tmp/phase_reports.json"
     echo "    repro_summary.json and phase_reports.json byte-identical"
+
+    # The committed reports are repro_all's output: a fresh run must
+    # reproduce them byte for byte (regenerate deliberately, never silently).
+    echo "==> fresh repro_all vs committed repro_summary.json and phase_reports.json"
+    cmp repro_summary.json "$tmp/repro_summary.json"
+    cmp phase_reports.json "$tmp/phase_reports.json"
+    echo "    committed reports reproduced"
 
     echo "OK: bench + determinism passed"
     exit 0
