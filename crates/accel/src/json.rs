@@ -6,8 +6,8 @@
 //! objects, arrays, strings with escaping, booleans, and numbers that
 //! round-trip `u64` counters exactly (floats print with enough digits to
 //! reconstruct the `f64`). [`parse`] reads the same documents back —
-//! report consumers (the perf-regression gate, the timeline validator)
-//! work on parsed [`Value`]s rather than regexes over report text.
+//! report consumers (the pin tests, the timeline validator) work on
+//! parsed [`Value`]s rather than regexes over report text.
 //!
 //! # Examples
 //!

@@ -43,11 +43,16 @@ fn main() {
     let reports = run_indexed(jobs);
     let json =
         Value::array(reports.iter().map(ExperimentReport::to_json).collect()).to_string_pretty();
-    std::fs::write("repro_summary.json", &json).expect("writable working directory");
+    write_or_exit("repro_summary.json", &json);
     println!("\nwrote repro_summary.json ({} experiments)", reports.len());
 
-    let phase_json = evaluation::phase_reports_json();
-    std::fs::write("phase_reports.json", phase_json.to_string_pretty())
-        .expect("writable working directory");
+    write_or_exit("phase_reports.json", &evaluation::phase_reports_json().to_string_pretty());
     println!("wrote phase_reports.json (13 per-phase run reports)");
+}
+
+fn write_or_exit(path: &str, text: &str) {
+    if let Err(e) = std::fs::write(path, text) {
+        eprintln!("error: cannot write {path}: {e}");
+        std::process::exit(1);
+    }
 }

@@ -4,7 +4,9 @@
 fn main() {
     let _ = pudiannao_bench::evaluation::fig15_speedup();
     let json = pudiannao_bench::evaluation::phase_reports_json();
-    std::fs::write("phase_reports.json", json.to_string_pretty())
-        .expect("writable working directory");
+    if let Err(e) = std::fs::write("phase_reports.json", json.to_string_pretty()) {
+        eprintln!("error: cannot write phase_reports.json: {e}");
+        std::process::exit(1);
+    }
     println!("\nwrote phase_reports.json (13 per-phase run reports)");
 }

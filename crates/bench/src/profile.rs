@@ -1,35 +1,19 @@
 //! The profiler reporting pipeline: a traced Figure-15-representative
-//! phase for the timeline export, the per-phase bottleneck summary, and
-//! the benchmark-history records behind the perf-regression gate.
+//! phase for the timeline export and the per-phase bottleneck summary.
 //!
-//! Three consumers sit on top:
-//!
-//! - the `profile` binary writes `trace_timeline.json` (Chrome Trace
-//!   Event JSON from [`pudiannao_accel::profile::chrome_trace`]) and
-//!   `phase_reports.json`, and prints the [`summary`] table;
-//! - the `perf_diff` binary appends [`history_record`] lines to
-//!   `BENCH_history.jsonl` and diffs the current run against the last
-//!   recorded one ([`diff_records`]), failing on any per-phase cycle or
-//!   energy regression beyond [`REGRESSION_THRESHOLD_PCT`];
-//! - `scripts/check.sh --profile` / `--perf-gate` pin both outputs.
+//! The `profile` binary writes `trace_timeline.json` (Chrome Trace Event
+//! JSON from [`pudiannao_accel::profile::chrome_trace`]) and
+//! `phase_reports.json`, and prints the [`summary`] table;
+//! `scripts/check.sh --profile` pins both outputs.
 //!
 //! Everything here is a pure function of the built-in workloads and the
 //! paper configuration: no wall-clock, no randomness, so every output is
 //! byte-identical at any `REPRO_THREADS` setting.
 
-use pudiannao_accel::json::Value;
 use pudiannao_accel::profile::analyze;
 use pudiannao_accel::{Accelerator, ArchConfig, Dram, Program, RunReport, TraceConfig};
 use pudiannao_codegen::disasm;
 use pudiannao_codegen::distance::{DistanceKernel, DistancePlan, DistancePost};
-
-/// Version stamp on every `BENCH_history.jsonl` line; bump when the
-/// record shape changes so [`diff_records`] refuses to compare across
-/// incompatible schemas.
-pub const HISTORY_SCHEMA_VERSION: u64 = 1;
-
-/// Per-phase regression tolerance (percent) for cycles and energy.
-pub const REGRESSION_THRESHOLD_PCT: f64 = 2.0;
 
 /// A functionally executed, fully traced run of a Figure-15-representative
 /// phase: the k-Means distance kernel (Table 3's program shape) at a
@@ -125,419 +109,6 @@ pub fn summary(reports: &[RunReport], config: &ArchConfig, events_dropped: u64) 
     out
 }
 
-/// One `BENCH_history.jsonl` line: the schema version, the configuration
-/// fingerprint, and each Figure-15 phase's modelled cycles and energy.
-/// Deliberately excludes anything non-deterministic (timestamps,
-/// wall-clock, host details), so a record depends only on the model.
-#[must_use]
-pub fn history_record() -> Value {
-    let mut record = record_from_reports(&crate::evaluation::phase_run_reports());
-    record.set("serve", serve_sweep_points());
-    record.set("chaos", chaos_headline());
-    record.set("metrics", metrics_headline());
-    record
-}
-
-/// The serving-layer half of a history record: the pinned 1/2/4/8-shard
-/// scaling sweep from `pudiannao_serve` ([`pudiannao_serve::gate_sweep`]),
-/// one point per shard count.
-fn serve_sweep_points() -> Value {
-    let mut points = Value::array(Vec::new());
-    for p in pudiannao_serve::gate_sweep() {
-        points.push(
-            Value::object()
-                .with("shards", p.shards as u64)
-                .with("throughput_rps", p.throughput_rps)
-                .with("p99_ns", p.p99_ns)
-                .with("util_permille", p.util_permille),
-        );
-    }
-    points
-}
-
-/// The resilience headline riding each history record: the mid-intensity
-/// smoke chaos cell (2k requests of the gate shape on the widest sweep
-/// fleet), undefended vs fully defended, as overall and per-tier SLO
-/// attainment in per-mille. Small enough to run on every `--record`,
-/// pinned enough that a defence regression moves it.
-fn chaos_headline() -> Value {
-    use pudiannao_serve::sweep::{chaos_fleet, defense_arm, gate_generator, CHAOS_SEED};
-    use pudiannao_serve::{serve, serve_resilient, ChaosConfig, GeneratorConfig, Priority};
-    let gen = GeneratorConfig { requests: 2_000, ..gate_generator() };
-    let fleet = chaos_fleet();
-    let p99 = serve(&fleet, &gen).p99_ns;
-    let chaos = ChaosConfig::intensity(CHAOS_SEED, 1);
-    let mut out = Value::object().with("intensity", "mid").with("baseline_p99_ns", p99);
-    for arm in ["none", "full"] {
-        let report = serve_resilient(&fleet, &gen, &chaos, &defense_arm(arm, p99));
-        let res = report.resilience.as_ref().expect("chaos cells are resilient runs");
-        let mut tiers = Value::object();
-        for p in Priority::ALL {
-            tiers.set(p.label(), res.tiers[p.index()].slo_met_permille);
-        }
-        out.set(
-            arm,
-            Value::object()
-                .with("slo_overall_permille", res.overall_slo_permille())
-                .with("slo_tiers_permille", tiers),
-        );
-    }
-    out
-}
-
-/// The observability headline riding each history record: the windowed
-/// latency metrics of a 2k-request gate-shape baseline run on the widest
-/// sweep fleet (metrics on, tracing off, chaos off). The windowed p99
-/// maximum is the burst-sensitive tail signal a whole-run p99 smooths
-/// away — a batching or admission change that only hurts during bursts
-/// moves this number first.
-fn metrics_headline() -> Value {
-    use pudiannao_serve::sweep::{chaos_fleet, gate_generator};
-    use pudiannao_serve::{
-        serve_observed, ChaosConfig, Defense, GeneratorConfig, MetricsConfig, ObserveConfig,
-    };
-    let gen = GeneratorConfig { requests: 2_000, ..gate_generator() };
-    let observe = ObserveConfig { trace: None, metrics: Some(MetricsConfig::default()) };
-    let report =
-        serve_observed(&chaos_fleet(), &gen, &ChaosConfig::off(), &Defense::off(), &observe);
-    let m =
-        report.observability.as_ref().and_then(|o| o.metrics.as_ref()).expect("metrics were on");
-    Value::object()
-        .with("window_ns", m.window_ns)
-        .with("overall_p99_ns", m.overall_p99_ns)
-        .with("windowed_p99_max_ns", m.windowed_p99_max_ns)
-        .with("windows", m.windows.len() as u64)
-}
-
-fn record_from_reports(reports: &[RunReport]) -> Value {
-    let fingerprint = reports.first().map_or_else(String::new, |r| r.config_fingerprint.clone());
-    let phases: Vec<Value> = reports
-        .iter()
-        .map(|r| {
-            Value::object()
-                .with("label", r.label.clone())
-                .with("cycles", r.stats.cycles)
-                .with("energy_joules", r.stats.energy.total())
-        })
-        .collect();
-    Value::object()
-        .with("schema_version", HISTORY_SCHEMA_VERSION)
-        .with("config_fingerprint", fingerprint)
-        .with("phases", Value::array(phases))
-}
-
-/// Returns `record` with every phase's cycle count inflated by `pct`
-/// percent — the synthetic-regression hook behind `perf_diff
-/// --inflate-cycles-pct`, used by the gate's self-check to prove a +5%
-/// regression actually fails.
-#[must_use]
-pub fn with_inflated_cycles(record: &Value, pct: f64) -> Value {
-    let phases: Vec<Value> = record
-        .get("phases")
-        .and_then(Value::as_array)
-        .map(|phases| {
-            phases
-                .iter()
-                .map(|p| {
-                    let cycles = p.get("cycles").and_then(Value::as_u64).unwrap_or(0);
-                    let inflated = (cycles as f64 * (1.0 + pct / 100.0)).round() as u64;
-                    Value::object()
-                        .with("label", p.get("label").and_then(Value::as_str).unwrap_or_default())
-                        .with("cycles", inflated)
-                        .with(
-                            "energy_joules",
-                            p.get("energy_joules").and_then(Value::as_f64).unwrap_or(0.0),
-                        )
-                })
-                .collect()
-        })
-        .unwrap_or_default();
-    let mut out = Value::object()
-        .with("schema_version", record.get("schema_version").and_then(Value::as_u64).unwrap_or(0))
-        .with(
-            "config_fingerprint",
-            record.get("config_fingerprint").and_then(Value::as_str).unwrap_or_default(),
-        )
-        .with("phases", Value::array(phases));
-    // The synthetic slowdown targets phase cycles only; the serving
-    // sweep, chaos headline and metrics headline ride along untouched so
-    // the gate self-check diffs them cleanly.
-    for key in ["serve", "chaos", "metrics"] {
-        if let Some(section) = record.get(key) {
-            out.set(key, section.clone());
-        }
-    }
-    out
-}
-
-/// One phase's change between two history records, in percent.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PhaseDelta {
-    /// The phase label.
-    pub label: String,
-    /// Cycle-count change, percent (positive = slower).
-    pub cycles_pct: f64,
-    /// Energy change, percent (positive = more joules).
-    pub energy_pct: f64,
-}
-
-impl PhaseDelta {
-    /// Whether either metric regressed beyond
-    /// [`REGRESSION_THRESHOLD_PCT`].
-    #[must_use]
-    pub fn regressed(&self) -> bool {
-        self.cycles_pct > REGRESSION_THRESHOLD_PCT || self.energy_pct > REGRESSION_THRESHOLD_PCT
-    }
-}
-
-fn pct_change(prev: f64, cur: f64) -> f64 {
-    if prev == 0.0 {
-        if cur == 0.0 {
-            0.0
-        } else {
-            f64::INFINITY
-        }
-    } else {
-        (cur - prev) / prev * 100.0
-    }
-}
-
-/// Diffs two history records phase by phase.
-///
-/// # Errors
-///
-/// When the records are not comparable: mismatched schema versions,
-/// mismatched configuration fingerprints (different hardware points must
-/// never be diffed), or mismatched phase lists.
-pub fn diff_records(prev: &Value, cur: &Value) -> Result<Vec<PhaseDelta>, String> {
-    let schema = |v: &Value| v.get("schema_version").and_then(Value::as_u64);
-    let (ps, cs) = (schema(prev), schema(cur));
-    if ps != cs || cs != Some(HISTORY_SCHEMA_VERSION) {
-        return Err(format!("schema mismatch: history {ps:?} vs current {cs:?}"));
-    }
-    fn fp(v: &Value) -> &str {
-        v.get("config_fingerprint").and_then(Value::as_str).unwrap_or("")
-    }
-    if fp(prev) != fp(cur) {
-        return Err(format!(
-            "config fingerprint mismatch: history {:?} vs current {:?} — refusing to \
-             compare different hardware points",
-            fp(prev),
-            fp(cur)
-        ));
-    }
-    fn phases(v: &Value) -> Result<&[Value], String> {
-        v.get("phases")
-            .and_then(Value::as_array)
-            .ok_or_else(|| "record has no phases array".to_owned())
-    }
-    let (pp, cp) = (phases(prev)?, phases(cur)?);
-    if pp.len() != cp.len() {
-        return Err(format!("phase count changed: {} vs {}", pp.len(), cp.len()));
-    }
-    let mut deltas = Vec::with_capacity(cp.len());
-    for (p, c) in pp.iter().zip(cp) {
-        let label = |v: &Value| v.get("label").and_then(Value::as_str).unwrap_or("?").to_owned();
-        if label(p) != label(c) {
-            return Err(format!("phase list changed: {:?} vs {:?}", label(p), label(c)));
-        }
-        let cycles = |v: &Value| v.get("cycles").and_then(Value::as_u64).unwrap_or(0) as f64;
-        let energy = |v: &Value| v.get("energy_joules").and_then(Value::as_f64).unwrap_or(0.0);
-        deltas.push(PhaseDelta {
-            label: label(c),
-            cycles_pct: pct_change(cycles(p), cycles(c)),
-            energy_pct: pct_change(energy(p), energy(c)),
-        });
-    }
-    Ok(deltas)
-}
-
-/// One shard-count's change in the serving scaling sweep, in percent.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ServeDelta {
-    /// Fleet size this point was measured at.
-    pub shards: u64,
-    /// Throughput change, percent (positive = faster).
-    pub throughput_pct: f64,
-    /// p99 latency change, percent (positive = slower; informational).
-    pub p99_pct: f64,
-    /// Mean shard-utilisation change, percent (negative = shards idling
-    /// more). `0.0` when either record predates the utilisation column.
-    pub util_pct: f64,
-}
-
-impl ServeDelta {
-    /// Whether serving throughput dropped — or per-shard utilisation
-    /// collapsed — beyond [`REGRESSION_THRESHOLD_PCT`]. A utilisation
-    /// drop at unchanged throughput means the fleet stopped scaling (the
-    /// same work now needs more idle hardware). Latency is reported but
-    /// not gated: an open-loop p99 legitimately moves when batching gets
-    /// *better* (bigger batches trade tail latency for throughput).
-    #[must_use]
-    pub fn regressed(&self) -> bool {
-        self.throughput_pct < -REGRESSION_THRESHOLD_PCT || self.util_pct < -REGRESSION_THRESHOLD_PCT
-    }
-}
-
-/// Diffs the serving scaling sweeps of two history records.
-///
-/// Returns an empty list when either record predates the serving layer
-/// (no `serve` key) — older baselines stay comparable on phases alone.
-///
-/// # Errors
-///
-/// When both records carry a sweep but the shard counts differ.
-pub fn diff_serve(prev: &Value, cur: &Value) -> Result<Vec<ServeDelta>, String> {
-    fn sweep(v: &Value) -> Option<&[Value]> {
-        v.get("serve").and_then(Value::as_array)
-    }
-    let (Some(ps), Some(cs)) = (sweep(prev), sweep(cur)) else {
-        return Ok(Vec::new());
-    };
-    if ps.len() != cs.len() {
-        return Err(format!("serve sweep size changed: {} vs {} points", ps.len(), cs.len()));
-    }
-    let mut deltas = Vec::with_capacity(cs.len());
-    for (p, c) in ps.iter().zip(cs) {
-        let shards = |v: &Value| v.get("shards").and_then(Value::as_u64).unwrap_or(0);
-        if shards(p) != shards(c) {
-            return Err(format!(
-                "serve sweep shard counts changed: {} vs {}",
-                shards(p),
-                shards(c)
-            ));
-        }
-        let rps = |v: &Value| v.get("throughput_rps").and_then(Value::as_f64).unwrap_or(0.0);
-        let p99 = |v: &Value| v.get("p99_ns").and_then(Value::as_u64).unwrap_or(0) as f64;
-        // Records written before the utilisation column skip that axis
-        // cleanly (0% change) instead of faking a collapse to zero.
-        let util = |v: &Value| v.get("util_permille").and_then(Value::as_u64);
-        let util_pct = match (util(p), util(c)) {
-            (Some(pu), Some(cu)) => pct_change(pu as f64, cu as f64),
-            _ => 0.0,
-        };
-        deltas.push(ServeDelta {
-            shards: shards(c),
-            throughput_pct: pct_change(rps(p), rps(c)),
-            p99_pct: pct_change(p99(p), p99(c)),
-            util_pct,
-        });
-    }
-    Ok(deltas)
-}
-
-/// How many per-mille points of chaos-headline SLO attainment a record
-/// may lose before the gate fails. The model is deterministic, so any
-/// movement is a code change; the slack only absorbs benign remodels.
-pub const CHAOS_SLO_SLACK_POINTS: i64 = 10;
-
-/// One defence arm's change in the chaos headline between two records.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ChaosDelta {
-    /// Defence arm (`"none"` or `"full"`).
-    pub arm: &'static str,
-    /// Overall SLO attainment change in per-mille points
-    /// (positive = more requests meeting their deadline).
-    pub slo_points: i64,
-}
-
-impl ChaosDelta {
-    /// Whether this arm's SLO attainment dropped beyond
-    /// [`CHAOS_SLO_SLACK_POINTS`].
-    #[must_use]
-    pub fn regressed(&self) -> bool {
-        self.slo_points < -CHAOS_SLO_SLACK_POINTS
-    }
-}
-
-/// Diffs the chaos headlines of two history records.
-///
-/// Returns an empty list when either record predates the chaos headline
-/// (no `chaos` key) — older baselines stay comparable on phases and the
-/// serving sweep alone.
-///
-/// # Errors
-///
-/// When both records carry a headline but an arm's attainment column is
-/// missing or malformed.
-pub fn diff_chaos(prev: &Value, cur: &Value) -> Result<Vec<ChaosDelta>, String> {
-    let (Some(p), Some(c)) = (prev.get("chaos"), cur.get("chaos")) else {
-        return Ok(Vec::new());
-    };
-    let slo = |v: &Value, arm: &str| -> Result<i64, String> {
-        v.get(arm)
-            .and_then(|a| a.get("slo_overall_permille"))
-            .and_then(Value::as_u64)
-            .map(|x| x as i64)
-            .ok_or_else(|| format!("chaos headline is missing arm {arm:?}"))
-    };
-    let mut deltas = Vec::with_capacity(2);
-    for arm in ["none", "full"] {
-        deltas.push(ChaosDelta { arm, slo_points: slo(c, arm)? - slo(p, arm)? });
-    }
-    Ok(deltas)
-}
-
-/// How many percent the windowed-p99 headline may grow before the gate
-/// fails. Windowed maxima are burstier than whole-run percentiles (one
-/// window, not thousands of samples, sets the max), so the slack is
-/// wider than [`REGRESSION_THRESHOLD_PCT`].
-pub const METRICS_P99_SLACK_PCT: f64 = 5.0;
-
-/// The metrics headline's change between two history records.
-#[derive(Clone, Debug, PartialEq)]
-pub struct MetricsDelta {
-    /// Worst-window p99 change, percent (positive = slower bursts).
-    pub windowed_p99_max_pct: f64,
-    /// Whole-run p99 change, percent (informational — the scaling sweep
-    /// already gates it per shard count).
-    pub overall_p99_pct: f64,
-}
-
-impl MetricsDelta {
-    /// Whether the worst-window p99 grew beyond [`METRICS_P99_SLACK_PCT`].
-    #[must_use]
-    pub fn regressed(&self) -> bool {
-        self.windowed_p99_max_pct > METRICS_P99_SLACK_PCT
-    }
-}
-
-/// Diffs the metrics headlines of two history records.
-///
-/// Returns an empty list when either record predates the metrics
-/// headline (no `metrics` key) — older baselines stay comparable on the
-/// sections they do carry.
-///
-/// # Errors
-///
-/// When both records carry a headline but a column is missing or the
-/// window size changed (windowed maxima are only comparable at the same
-/// window).
-pub fn diff_metrics(prev: &Value, cur: &Value) -> Result<Vec<MetricsDelta>, String> {
-    let (Some(p), Some(c)) = (prev.get("metrics"), cur.get("metrics")) else {
-        return Ok(Vec::new());
-    };
-    let field = |v: &Value, key: &str| -> Result<u64, String> {
-        v.get(key)
-            .and_then(Value::as_u64)
-            .ok_or_else(|| format!("metrics headline is missing {key:?}"))
-    };
-    let (pw, cw) = (field(p, "window_ns")?, field(c, "window_ns")?);
-    if pw != cw {
-        return Err(format!("metrics headline window changed: {pw} vs {cw} ns"));
-    }
-    Ok(vec![MetricsDelta {
-        windowed_p99_max_pct: pct_change(
-            field(p, "windowed_p99_max_ns")? as f64,
-            field(c, "windowed_p99_max_ns")? as f64,
-        ),
-        overall_p99_pct: pct_change(
-            field(p, "overall_p99_ns")? as f64,
-            field(c, "overall_p99_ns")? as f64,
-        ),
-    }])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -584,171 +155,5 @@ mod tests {
             };
             assert_eq!(verdict, expected, "{:?}", report.label);
         }
-    }
-
-    #[test]
-    fn history_record_round_trips_and_diffs_clean() {
-        let record = history_record();
-        let line = record.to_string();
-        let parsed = pudiannao_accel::json::parse(&line).unwrap();
-        let deltas = diff_records(&parsed, &record).unwrap();
-        assert_eq!(deltas.len(), 13);
-        assert!(deltas.iter().all(|d| d.cycles_pct == 0.0 && d.energy_pct == 0.0));
-        assert!(!deltas.iter().any(PhaseDelta::regressed));
-    }
-
-    #[test]
-    fn inflated_cycles_trip_the_gate() {
-        let record = history_record();
-        let slow = with_inflated_cycles(&record, 5.0);
-        let deltas = diff_records(&record, &slow).unwrap();
-        assert!(deltas.iter().all(|d| d.cycles_pct > 4.0 && d.cycles_pct < 6.0));
-        assert!(deltas.iter().all(PhaseDelta::regressed));
-        // A change within tolerance does not.
-        let ok = with_inflated_cycles(&record, 1.0);
-        assert!(!diff_records(&record, &ok).unwrap().iter().any(PhaseDelta::regressed));
-    }
-
-    #[test]
-    fn serve_sweep_rides_the_record_and_gates_throughput() {
-        let record = history_record();
-        let sweep = record.get("serve").and_then(Value::as_array).expect("record carries sweep");
-        assert_eq!(sweep.len(), 4, "1/2/4/8-shard sweep");
-        // Self-diff is clean, and inflation leaves the sweep untouched.
-        assert!(!diff_serve(&record, &record).unwrap().iter().any(ServeDelta::regressed));
-        let inflated = with_inflated_cycles(&record, 5.0);
-        assert!(!diff_serve(&record, &inflated).unwrap().iter().any(ServeDelta::regressed));
-        // A 5% throughput drop at every point fails the gate...
-        let mut points = Value::array(Vec::new());
-        for p in sweep {
-            points.push(
-                Value::object()
-                    .with("shards", p.get("shards").and_then(Value::as_u64).unwrap())
-                    .with(
-                        "throughput_rps",
-                        p.get("throughput_rps").and_then(Value::as_f64).unwrap() * 0.95,
-                    )
-                    .with("p99_ns", p.get("p99_ns").and_then(Value::as_u64).unwrap()),
-            );
-        }
-        // `set` appends, so a changed key must go on a fresh object.
-        let slow = Value::object()
-            .with("schema_version", record.get("schema_version").cloned().unwrap())
-            .with("config_fingerprint", record.get("config_fingerprint").cloned().unwrap())
-            .with("phases", record.get("phases").cloned().unwrap())
-            .with("serve", points);
-        let deltas = diff_serve(&record, &slow).unwrap();
-        assert!(deltas.iter().all(ServeDelta::regressed));
-        // ...while a baseline that predates the serving layer is skipped.
-        assert!(diff_serve(&Value::object(), &record).unwrap().is_empty());
-    }
-
-    #[test]
-    fn chaos_headline_rides_the_record_and_old_baselines_skip() {
-        let record = history_record();
-        let chaos = record.get("chaos").expect("record carries the chaos headline");
-        let slo = |arm: &str| {
-            chaos
-                .get(arm)
-                .and_then(|a| a.get("slo_overall_permille"))
-                .and_then(Value::as_u64)
-                .expect("headline arm carries attainment")
-        };
-        // The headline preserves the chaos_bench invariant: defended
-        // strictly beats undefended at the pinned mid intensity.
-        assert!(slo("full") > slo("none"), "full {} vs none {}", slo("full"), slo("none"));
-        // Self-diff is clean; inflation leaves the headline untouched.
-        assert!(!diff_chaos(&record, &record).unwrap().iter().any(ChaosDelta::regressed));
-        let inflated = with_inflated_cycles(&record, 5.0);
-        assert!(!diff_chaos(&record, &inflated).unwrap().iter().any(ChaosDelta::regressed));
-        // A record written before the chaos headline existed (the PR-7
-        // schema) skips cleanly in both directions instead of erroring.
-        let old = Value::object()
-            .with("schema_version", record.get("schema_version").cloned().unwrap())
-            .with("config_fingerprint", record.get("config_fingerprint").cloned().unwrap())
-            .with("phases", record.get("phases").cloned().unwrap())
-            .with("serve", record.get("serve").cloned().unwrap());
-        assert!(diff_chaos(&old, &record).unwrap().is_empty());
-        assert!(diff_chaos(&record, &old).unwrap().is_empty());
-        // A genuine attainment collapse in the defended arm trips the gate.
-        let sick_chaos = Value::object()
-            .with("none", Value::object().with("slo_overall_permille", slo("none")))
-            .with(
-                "full",
-                Value::object().with("slo_overall_permille", slo("full").saturating_sub(50)),
-            );
-        let sick = Value::object().with("chaos", sick_chaos);
-        let deltas = diff_chaos(&record, &sick).unwrap();
-        assert!(deltas.iter().any(ChaosDelta::regressed));
-        // A malformed headline is refused, not silently zeroed.
-        let broken = Value::object().with("chaos", Value::object());
-        assert!(diff_chaos(&record, &broken).unwrap_err().contains("missing arm"));
-    }
-
-    #[test]
-    fn metrics_headline_rides_the_record_and_old_baselines_skip() {
-        let record = history_record();
-        let metrics = record.get("metrics").expect("record carries the metrics headline");
-        let field = |key: &str| {
-            metrics.get(key).and_then(Value::as_u64).expect("headline carries the column")
-        };
-        // A windowed maximum can never undercut the whole-run percentile
-        // it is a max over.
-        assert!(field("windowed_p99_max_ns") >= field("overall_p99_ns"));
-        assert!(field("windows") > 0);
-        // Self-diff is clean; inflation leaves the headline untouched.
-        assert!(!diff_metrics(&record, &record).unwrap().iter().any(MetricsDelta::regressed));
-        let inflated = with_inflated_cycles(&record, 5.0);
-        assert!(!diff_metrics(&record, &inflated).unwrap().iter().any(MetricsDelta::regressed));
-        // A record written before the metrics headline existed (the PR-8
-        // schema) skips cleanly in both directions instead of erroring.
-        let old = Value::object()
-            .with("schema_version", record.get("schema_version").cloned().unwrap())
-            .with("config_fingerprint", record.get("config_fingerprint").cloned().unwrap())
-            .with("phases", record.get("phases").cloned().unwrap())
-            .with("serve", record.get("serve").cloned().unwrap())
-            .with("chaos", record.get("chaos").cloned().unwrap());
-        assert!(diff_metrics(&old, &record).unwrap().is_empty());
-        assert!(diff_metrics(&record, &old).unwrap().is_empty());
-        // A genuine burst-tail collapse trips the gate.
-        let sick = Value::object().with(
-            "metrics",
-            Value::object()
-                .with("window_ns", field("window_ns"))
-                .with("overall_p99_ns", field("overall_p99_ns"))
-                .with("windowed_p99_max_ns", field("windowed_p99_max_ns") * 2)
-                .with("windows", field("windows")),
-        );
-        let deltas = diff_metrics(&record, &sick).unwrap();
-        assert!(deltas.iter().any(MetricsDelta::regressed));
-        // A changed window size or a missing column is refused.
-        let resized = Value::object().with(
-            "metrics",
-            Value::object()
-                .with("window_ns", field("window_ns") * 2)
-                .with("overall_p99_ns", field("overall_p99_ns"))
-                .with("windowed_p99_max_ns", field("windowed_p99_max_ns")),
-        );
-        assert!(diff_metrics(&record, &resized).unwrap_err().contains("window changed"));
-        let broken = Value::object().with("metrics", Value::object());
-        assert!(diff_metrics(&record, &broken).unwrap_err().contains("missing"));
-    }
-
-    #[test]
-    fn incomparable_records_are_refused() {
-        let record = history_record();
-        let phases = record.get("phases").cloned().unwrap();
-        let other = Value::object()
-            .with("schema_version", HISTORY_SCHEMA_VERSION)
-            .with("config_fingerprint", "arch-0000000000000000")
-            .with("phases", phases.clone());
-        assert!(diff_records(&record, &other).unwrap_err().contains("fingerprint"));
-        let old = Value::object()
-            .with("schema_version", HISTORY_SCHEMA_VERSION + 1)
-            .with("config_fingerprint", record.get("config_fingerprint").cloned().unwrap())
-            .with("phases", phases);
-        assert!(diff_records(&old, &record).unwrap_err().contains("schema"));
-        assert_eq!(pct_change(0.0, 0.0), 0.0);
-        assert_eq!(pct_change(0.0, 5.0), f64::INFINITY);
     }
 }

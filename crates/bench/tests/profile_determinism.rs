@@ -1,8 +1,17 @@
-//! The profiler pipeline must be a pure function of the built-in
-//! workloads: timeline, phase reports, history records and diffs are
-//! byte-identical whether the phase models run on one worker or many.
+//! The profiler pipeline and the model's headline numbers are pure
+//! functions of the built-in workloads: the timeline and phase reports
+//! are byte-identical whether the phase models run on one worker or many,
+//! and every headline equals its committed value exactly.
 
 use std::process::Command;
+
+use pudiannao_accel::json::{self, Value};
+use pudiannao_bench::evaluation;
+use pudiannao_serve::sweep::{chaos_fleet, gate_generator};
+use pudiannao_serve::{
+    scaling_sweep, serve_observed, ChaosConfig, Defense, GeneratorConfig, MetricsConfig,
+    ObserveConfig, SweepPoint,
+};
 
 fn run_profile(threads: &str, dir: &std::path::Path) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
     std::fs::create_dir_all(dir).unwrap();
@@ -38,45 +47,53 @@ fn profile_outputs_are_identical_at_any_thread_count() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-fn perf_diff(threads: &str, args: &[&str], dir: &std::path::Path) -> std::process::Output {
-    let out = Command::new(env!("CARGO_BIN_EXE_perf_diff"))
-        .args(args)
-        .env("REPRO_THREADS", threads)
-        .current_dir(dir)
-        .output()
-        .expect("perf_diff binary runs");
-    out
+/// Asserts `fresh` equals the committed text, naming the first line that
+/// differs instead of printing both documents.
+fn assert_same_text(name: &str, fresh: &str, committed: &str) {
+    for (i, (f, c)) in fresh.lines().zip(committed.lines()).enumerate() {
+        assert_eq!(f, c, "{name} line {} differs from a fresh run", i + 1);
+    }
+    assert!(fresh == committed, "{name} differs from a fresh run in length");
 }
 
+/// The model is deterministic, so its headline numbers are pinned by
+/// equality, not within a tolerance: any change to them fails here, and a
+/// deliberate change re-pins by regenerating the committed report.
 #[test]
-fn perf_gate_is_deterministic_and_catches_synthetic_regressions() {
-    let dir = std::env::temp_dir().join(format!("perf_gate_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+fn model_headlines_equal_the_committed_reports() {
+    let committed = |name: &str| {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../").to_owned() + name;
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+    };
 
-    // Records are byte-identical at any thread count.
-    let a = perf_diff("1", &["--record", "--history", "a.jsonl"], &dir);
-    let b = perf_diff("4", &["--record", "--history", "b.jsonl"], &dir);
-    assert!(a.status.success() && b.status.success());
-    let (ha, hb) =
-        (std::fs::read(dir.join("a.jsonl")).unwrap(), std::fs::read(dir.join("b.jsonl")).unwrap());
-    assert!(!ha.is_empty());
-    assert_eq!(ha, hb, "worker count changed the history record bytes");
+    // Cycles and joules of the 13 Figure-15 phases.
+    assert_same_text(
+        "phase_reports.json",
+        &evaluation::phase_reports_json().to_string_pretty(),
+        &committed("phase_reports.json"),
+    );
 
-    // A clean re-check passes; its report is thread-count-independent too.
-    let c1 = perf_diff("1", &["--check", "--history", "a.jsonl"], &dir);
-    let c4 = perf_diff("4", &["--check", "--history", "a.jsonl"], &dir);
-    assert!(c1.status.success(), "clean check must pass the gate");
-    assert_eq!(c1.stdout, c4.stdout, "worker count changed the diff bytes");
+    // Throughput, p99 and utilisation of the 1/2/4/8-shard sweep.
+    let report = json::parse(&committed("serve_report.json")).expect("committed report parses");
+    let sweep = report.get("scaling_sweep").expect("committed report has a scaling sweep");
+    let fresh: Vec<Value> =
+        scaling_sweep(&gate_generator()).iter().map(SweepPoint::to_json).collect();
+    assert_same_text(
+        "serve_report.json scaling_sweep",
+        &Value::array(fresh).to_string_pretty(),
+        &sweep.to_string_pretty(),
+    );
 
-    // A synthetic +5% cycle regression fails the 2% gate.
-    let bad =
-        perf_diff("1", &["--check", "--history", "a.jsonl", "--inflate-cycles-pct", "5"], &dir);
-    assert_eq!(bad.status.code(), Some(1), "a +5%% regression must fail the gate");
-    assert!(String::from_utf8_lossy(&bad.stdout).contains("[perf] FAIL"));
-
-    // A missing history is a usage error, not a pass.
-    let missing = perf_diff("1", &["--check", "--history", "nope.jsonl"], &dir);
-    assert_eq!(missing.status.code(), Some(2));
-
-    let _ = std::fs::remove_dir_all(&dir);
+    // Windowed latency of the 2k-request gate stream on the widest sweep
+    // fleet, chaos off.
+    let gen = GeneratorConfig { requests: 2_000, ..gate_generator() };
+    let observe = ObserveConfig { trace: None, metrics: Some(MetricsConfig::default()) };
+    let report =
+        serve_observed(&chaos_fleet(), &gen, &ChaosConfig::off(), &Defense::off(), &observe);
+    let m = report.observability.as_ref().and_then(|o| o.metrics.as_ref()).expect("metrics on");
+    assert_eq!(
+        (m.window_ns, m.overall_p99_ns, m.windowed_p99_max_ns, m.windows.len()),
+        (100_000, 63_487, 90_111, 13),
+        "(window_ns, overall_p99_ns, windowed_p99_max_ns, windows)"
+    );
 }

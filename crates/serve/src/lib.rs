@@ -18,8 +18,7 @@
 //!   amortise datapath reconfiguration, waves executed on the
 //!   deterministic [`pool`].
 //! * [`report`] / [`sweep`] — latency percentiles, throughput, shed
-//!   rate, per-device utilisation; 1/2/4/8-shard scaling sweep for the
-//!   perf-regression gate.
+//!   rate, per-device utilisation; the 1/2/4/8-shard scaling sweep.
 //! * [`chaos`] — seeded fleet-level fault injection (crash/restart
 //!   windows, stragglers, lane-masked degradation reusing the PR-3
 //!   device fault model, transient failures) plus the [`chaos::Defense`]
@@ -65,7 +64,7 @@ pub use report::{
     TierBreakdown, TierSlo,
 };
 pub use request::{technique_of, Leg, Priority, Request, RequestKind, SizeTier};
-pub use sweep::{gate_sweep, scaling_sweep, SweepPoint, SWEEP_SHARDS};
+pub use sweep::{scaling_sweep, SweepPoint, SWEEP_SHARDS};
 pub use trace::{
     export_timeline, fleet_timeline, FleetTrace, LegOutcome, RootOutcome, SpanEvent, TraceConfig,
 };

@@ -310,8 +310,8 @@ pub struct MetricsReport {
     pub overall_p50_ns: u64,
     pub overall_p99_ns: u64,
     pub overall_p999_ns: u64,
-    /// The worst single-window p99 — the headline the perf gate tracks:
-    /// it catches a transient spike the whole-run p99 averages away.
+    /// The worst single-window p99: it catches a transient spike the
+    /// whole-run p99 averages away.
     pub windowed_p99_max_ns: u64,
     pub windows: Vec<WindowSummary>,
 }

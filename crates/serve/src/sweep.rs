@@ -1,6 +1,6 @@
-//! Shard-count scaling sweep, feeding both `serve_report.json` and the
-//! perf-regression gate (`BENCH_history.jsonl`), plus the fault-intensity
-//! x defence-arm chaos sweep behind `chaos_report.json`.
+//! Shard-count scaling sweep behind `serve_report.json`'s
+//! `scaling_sweep`, plus the fault-intensity x defence-arm chaos sweep
+//! behind `chaos_report.json`.
 
 use pudiannao_accel::json::Value;
 
@@ -21,8 +21,8 @@ pub struct SweepPoint {
     pub throughput_rps: f64,
     pub p99_ns: u64,
     /// Mean per-shard busy fraction (integer per-mille): the scaling
-    /// signal the perf gate watches — throughput can hide a fleet that
-    /// adds shards while each one idles more.
+    /// signal throughput alone hides — a fleet that adds shards while
+    /// each one idles more.
     pub util_permille: u64,
 }
 
@@ -60,19 +60,13 @@ pub fn scaling_sweep(gen: &GeneratorConfig) -> Vec<SweepPoint> {
         .collect()
 }
 
-/// The pinned stream the perf gate tracks: small enough to run on every
-/// `bench.sh` invocation, big enough that throughput is stable. Changing
-/// this config invalidates history records, so treat it like the cache
-/// config fingerprint: don't.
+/// The pinned stream behind the committed `scaling_sweep` and the chaos
+/// sweep: small enough to run in a test, big enough that throughput is
+/// stable. The committed `serve_report.json` and `chaos_report.json` pin
+/// its output exactly, so changing this config re-pins both reports.
 #[must_use]
 pub fn gate_generator() -> GeneratorConfig {
     GeneratorConfig { requests: 8_000, ..GeneratorConfig::heavy(0x5e7e_1234) }
-}
-
-/// The sweep `scripts/bench.sh` records and `perf_diff --check` gates.
-#[must_use]
-pub fn gate_sweep() -> Vec<SweepPoint> {
-    scaling_sweep(&gate_generator())
 }
 
 /// Seed of the pinned chaos plans the chaos sweep injects (arbitrary but

@@ -3,27 +3,40 @@
 #
 #   scripts/check.sh             # full gate
 #   scripts/check.sh --fast      # skip the release build
-#   scripts/check.sh --bench     # hot-path timings + parallel determinism + committed repro reports
+#   scripts/check.sh --bench     # parallel determinism + committed repro reports
 #   scripts/check.sh --faults    # fault-campaign smoke + pinned outcomes + committed full report
 #   scripts/check.sh --profile   # timeline smoke + pinned bottleneck verdicts
-#   scripts/check.sh --perf-gate # per-phase cycle/energy regression gate
 #   scripts/check.sh --serve     # serving-fleet smoke + pinned admission counts
 #   scripts/check.sh --chaos     # chaos smoke: fault x defence sweep + pinned outcomes
 #   scripts/check.sh --serve-trace # fleet timeline smoke + pinned span/track counts
+#
+# Takes no argument or exactly one of the modes above; anything else is a
+# usage error (exit 2). Binaries run from ${CARGO_TARGET_DIR:-target}/release.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-fast=0
-[[ "${1:-}" == "--fast" ]] && fast=1
+mode="${1:-}"
+case "$#:$mode" in
+    0: | 1:--fast | 1:--bench | 1:--faults | 1:--profile | 1:--serve | 1:--chaos | 1:--serve-trace) ;;
+    *)
+        echo "usage: scripts/check.sh [--fast|--bench|--faults|--profile|--serve|--chaos|--serve-trace]" >&2
+        exit 2
+        ;;
+esac
 
-if [[ "${1:-}" == "--profile" ]]; then
+# One absolute directory for every binary a mode runs, wherever cargo
+# builds (a relative CARGO_TARGET_DIR is relative to the repo root here).
+bin="${CARGO_TARGET_DIR:-target}/release"
+[[ "$bin" == /* ]] || bin="$PWD/$bin"
+
+if [[ "$mode" == "--profile" ]]; then
     echo "==> cargo build --release -p pudiannao-bench"
     cargo build --release -q -p pudiannao-bench
 
     echo "==> profile (timeline export + bottleneck attribution)"
     tmp="$(mktemp -d)"
     trap 'rm -rf "$tmp"' EXIT
-    (cd "$tmp" && "$OLDPWD/target/release/profile") | grep '^\[profile\]' > "$tmp/got.txt"
+    (cd "$tmp" && "$bin/profile") | grep '^\[profile\]' > "$tmp/got.txt"
     cat "$tmp/got.txt"
     test -s "$tmp/trace_timeline.json"
     test -s "$tmp/phase_reports.json"
@@ -55,8 +68,8 @@ EOF
 
     echo "==> determinism: REPRO_THREADS=1 vs 4"
     mkdir "$tmp/seq" "$tmp/par"
-    (cd "$tmp/seq" && REPRO_THREADS=1 "$OLDPWD/target/release/profile" >/dev/null)
-    (cd "$tmp/par" && REPRO_THREADS=4 "$OLDPWD/target/release/profile" >/dev/null)
+    (cd "$tmp/seq" && REPRO_THREADS=1 "$bin/profile" >/dev/null)
+    (cd "$tmp/par" && REPRO_THREADS=4 "$bin/profile" >/dev/null)
     cmp "$tmp/seq/trace_timeline.json" "$tmp/par/trace_timeline.json"
     cmp "$tmp/seq/phase_reports.json" "$tmp/par/phase_reports.json"
     echo "    trace_timeline.json and phase_reports.json byte-identical"
@@ -65,50 +78,14 @@ EOF
     exit 0
 fi
 
-if [[ "${1:-}" == "--perf-gate" ]]; then
-    echo "==> cargo build --release -p pudiannao-bench"
-    cargo build --release -q -p pudiannao-bench
-
-    hist="BENCH_history.jsonl"
-    if [[ ! -s "$hist" ]]; then
-        echo "==> no history yet: seeding $hist"
-        ./target/release/perf_diff --record --history "$hist"
-    fi
-
-    echo "==> perf gate: current model vs last record in $hist"
-    ./target/release/perf_diff --check --history "$hist"
-
-    echo "==> self-check: a synthetic +5% cycle regression must fail"
-    if ./target/release/perf_diff --check --history "$hist" --inflate-cycles-pct 5 >/dev/null; then
-        echo "error: the gate passed a +5% regression" >&2
-        exit 1
-    fi
-    echo "    synthetic regression correctly rejected"
-
-    echo "==> self-check: a hostile last record (100,000 nested arrays) must exit 2, not crash"
-    hostile="$(mktemp)"
-    trap 'rm -f "$hostile"' EXIT
-    { printf '%100000s' '' | tr ' ' '['; printf '%100000s\n' '' | tr ' ' ']'; } > "$hostile"
-    status=0
-    ./target/release/perf_diff --check --history "$hostile" >/dev/null 2>&1 || status=$?
-    if [[ $status -ne 2 ]]; then
-        echo "error: perf_diff exited $status on the hostile record, not 2" >&2
-        exit 1
-    fi
-    echo "    hostile record rejected as invalid JSON"
-
-    echo "OK: perf gate passed"
-    exit 0
-fi
-
-if [[ "${1:-}" == "--faults" ]]; then
+if [[ "$mode" == "--faults" ]]; then
     echo "==> cargo build --release -p pudiannao-bench"
     cargo build --release -q -p pudiannao-bench
 
     echo "==> fault_campaign --smoke (fixed seed)"
     tmp="$(mktemp -d)"
     trap 'rm -rf "$tmp"' EXIT
-    ./target/release/fault_campaign --smoke --out "$tmp/fault_campaign.json" \
+    "$bin/fault_campaign" --smoke --out "$tmp/fault_campaign.json" \
         | grep '^\[faults\]' > "$tmp/got.txt"
     cat "$tmp/got.txt"
 
@@ -126,9 +103,9 @@ EOF
     echo "    outcome counts match the pinned expectation"
 
     echo "==> determinism: REPRO_THREADS=1 vs 4"
-    REPRO_THREADS=1 ./target/release/fault_campaign --smoke \
+    REPRO_THREADS=1 "$bin/fault_campaign" --smoke \
         --out "$tmp/seq.json" >/dev/null
-    REPRO_THREADS=4 ./target/release/fault_campaign --smoke \
+    REPRO_THREADS=4 "$bin/fault_campaign" --smoke \
         --out "$tmp/par.json" >/dev/null
     cmp "$tmp/seq.json" "$tmp/par.json"
     echo "    fault_campaign.json byte-identical"
@@ -137,7 +114,7 @@ EOF
     # reproduce it byte for byte, pinning the outcome classification of
     # every arm, rate and kernel (regenerate deliberately, never silently).
     echo "==> full campaign vs committed fault_campaign.json"
-    ./target/release/fault_campaign --out "$tmp/full.json" >/dev/null
+    "$bin/fault_campaign" --out "$tmp/full.json" >/dev/null
     cmp fault_campaign.json "$tmp/full.json"
     echo "    committed fault_campaign.json reproduced"
 
@@ -145,14 +122,14 @@ EOF
     exit 0
 fi
 
-if [[ "${1:-}" == "--serve" ]]; then
+if [[ "$mode" == "--serve" ]]; then
     echo "==> cargo build --release -p pudiannao-serve"
     cargo build --release -q -p pudiannao-serve
 
     echo "==> serve_bench --smoke (fixed seed)"
     tmp="$(mktemp -d)"
     trap 'rm -rf "$tmp"' EXIT
-    ./target/release/serve_bench --smoke --out "$tmp/serve_report.json" \
+    "$bin/serve_bench" --smoke --out "$tmp/serve_report.json" \
         | grep -E '^\[serve\] (mode|shards|offered|admitted|shed|rejected|completed|shed_permille|trace_cache) ' \
         > "$tmp/got.txt"
     cat "$tmp/got.txt"
@@ -177,9 +154,9 @@ EOF
     echo "    admission, completion and trace-cache counts match the pinned expectation"
 
     echo "==> determinism: REPRO_THREADS=1 vs 4"
-    REPRO_THREADS=1 ./target/release/serve_bench --smoke \
+    REPRO_THREADS=1 "$bin/serve_bench" --smoke \
         --out "$tmp/seq.json" >/dev/null
-    REPRO_THREADS=4 ./target/release/serve_bench --smoke \
+    REPRO_THREADS=4 "$bin/serve_bench" --smoke \
         --out "$tmp/par.json" >/dev/null
     cmp "$tmp/seq.json" "$tmp/par.json"
     echo "    serve_report.json byte-identical"
@@ -188,14 +165,14 @@ EOF
     exit 0
 fi
 
-if [[ "${1:-}" == "--chaos" ]]; then
+if [[ "$mode" == "--chaos" ]]; then
     echo "==> cargo build --release -p pudiannao-serve"
     cargo build --release -q -p pudiannao-serve
 
     echo "==> chaos_bench --smoke (pinned fault plans x defence arms)"
     tmp="$(mktemp -d)"
     trap 'rm -rf "$tmp"' EXIT
-    ./target/release/chaos_bench --smoke --out "$tmp/chaos_report.json" \
+    "$bin/chaos_bench" --smoke --out "$tmp/chaos_report.json" \
         | grep -E '^\[chaos\] (mode|baseline|cell|slo|defended)' > "$tmp/got.txt"
     cat "$tmp/got.txt"
 
@@ -234,9 +211,9 @@ EOF
     echo "    outcome counts and SLO attainment match the pinned expectation"
 
     echo "==> determinism: REPRO_THREADS=1 vs 4"
-    REPRO_THREADS=1 ./target/release/chaos_bench --smoke \
+    REPRO_THREADS=1 "$bin/chaos_bench" --smoke \
         --out "$tmp/seq.json" >/dev/null
-    REPRO_THREADS=4 ./target/release/chaos_bench --smoke \
+    REPRO_THREADS=4 "$bin/chaos_bench" --smoke \
         --out "$tmp/par.json" >/dev/null
     cmp "$tmp/seq.json" "$tmp/par.json"
     echo "    chaos_report.json byte-identical"
@@ -245,14 +222,14 @@ EOF
     exit 0
 fi
 
-if [[ "${1:-}" == "--serve-trace" ]]; then
+if [[ "$mode" == "--serve-trace" ]]; then
     echo "==> cargo build --release -p pudiannao-serve"
     cargo build --release -q -p pudiannao-serve
 
     echo "==> chaos_bench --smoke --trace (observed mid/full cell -> fleet timeline)"
     tmp="$(mktemp -d)"
     trap 'rm -rf "$tmp"' EXIT
-    ./target/release/chaos_bench --smoke --trace \
+    "$bin/chaos_bench" --smoke --trace \
         --out "$tmp/chaos_report.json" --trace-out "$tmp/serve_timeline.json" \
         | grep -E '^\[trace\] (cell|spans|events_dropped|windows)' > "$tmp/got.txt"
     cat "$tmp/got.txt"
@@ -273,14 +250,14 @@ EOF
     echo "    span, track and windowed-metric counts match the pinned expectation"
 
     echo "==> tracing is additive: chaos_report.json matches the untraced run"
-    ./target/release/chaos_bench --smoke --out "$tmp/plain_report.json" >/dev/null
+    "$bin/chaos_bench" --smoke --out "$tmp/plain_report.json" >/dev/null
     cmp "$tmp/plain_report.json" "$tmp/chaos_report.json"
     echo "    report byte-identical with and without --trace"
 
     echo "==> determinism: REPRO_THREADS=1 vs 4"
-    REPRO_THREADS=1 ./target/release/chaos_bench --smoke --trace \
+    REPRO_THREADS=1 "$bin/chaos_bench" --smoke --trace \
         --out "$tmp/seq.json" --trace-out "$tmp/seq_timeline.json" >/dev/null
-    REPRO_THREADS=4 ./target/release/chaos_bench --smoke --trace \
+    REPRO_THREADS=4 "$bin/chaos_bench" --smoke --trace \
         --out "$tmp/par.json" --trace-out "$tmp/par_timeline.json" >/dev/null
     cmp "$tmp/seq_timeline.json" "$tmp/par_timeline.json"
     echo "    serve_timeline.json byte-identical"
@@ -289,7 +266,7 @@ EOF
     exit 0
 fi
 
-if [[ "${1:-}" == "--bench" ]]; then
+if [[ "$mode" == "--bench" ]]; then
     echo "==> cargo build --release"
     cargo build --workspace --release -q
 
@@ -299,19 +276,13 @@ if [[ "${1:-}" == "--bench" ]]; then
     echo "==> trace-template-cache equivalence suite (cached replay vs fresh generation)"
     cargo test -q -p pudiannao-serve --test trace_cache
 
-    echo "==> bench_hotpath"
-    ./target/release/bench_hotpath | grep '^\[bench\]'
-
-    echo "==> perf gate: current model vs last record in BENCH_history.jsonl"
-    ./target/release/perf_diff --check --history BENCH_history.jsonl
-
     echo "==> determinism: sequential vs REPRO_THREADS=4"
     tmp="$(mktemp -d)"
     trap 'rm -rf "$tmp"' EXIT
-    (cd "$tmp" && REPRO_THREADS=1 "$OLDPWD/target/release/repro_all" >/dev/null)
+    (cd "$tmp" && REPRO_THREADS=1 "$bin/repro_all" >/dev/null)
     mv "$tmp/repro_summary.json" "$tmp/seq_summary.json"
     mv "$tmp/phase_reports.json" "$tmp/seq_phases.json"
-    (cd "$tmp" && REPRO_THREADS=4 "$OLDPWD/target/release/repro_all" >/dev/null)
+    (cd "$tmp" && REPRO_THREADS=4 "$bin/repro_all" >/dev/null)
     cmp "$tmp/seq_summary.json" "$tmp/repro_summary.json"
     cmp "$tmp/seq_phases.json" "$tmp/phase_reports.json"
     echo "    repro_summary.json and phase_reports.json byte-identical"
@@ -323,11 +294,11 @@ if [[ "${1:-}" == "--bench" ]]; then
     cmp phase_reports.json "$tmp/phase_reports.json"
     echo "    committed reports reproduced"
 
-    echo "OK: bench + determinism passed"
+    echo "OK: determinism and committed repro reports passed"
     exit 0
 fi
 
-echo "==> perf tables match BENCH_repro.json"
+echo "==> perf tables match perf_record.jsonl"
 scripts/perf_table.sh --check
 
 echo "==> cargo fmt --check"
@@ -336,7 +307,7 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-if [[ $fast -eq 0 ]]; then
+if [[ "$mode" != --fast ]]; then
     echo "==> cargo build --release"
     cargo build --workspace --release
 fi

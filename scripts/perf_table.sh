@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
-# Regenerates the locality-engine performance tables embedded in
-# README.md, DESIGN.md and ROADMAP.md from the machine-readable
-# BENCH_repro.json, so the prose never drifts from the measurement
-# again. Each doc carries a block delimited by
+# Renders the per-layer host-time tables embedded in README.md, DESIGN.md
+# and ROADMAP.md from perf_record.jsonl, the committed record of one
+# perfbench `--trace 1` run, so the prose never drifts from the
+# measurement. Each doc carries a block delimited by
 #
 #   <!-- perf-table:begin ... -->
 #   <!-- perf-table:end -->
 #
 # whose contents this script owns; everything outside the markers is
-# untouched. Run scripts/bench.sh first (it writes BENCH_repro.json),
-# then this script, and commit both.
+# untouched. scripts/bench.sh re-measures the record and then runs this
+# script; commit the record and the docs together. A record whose output
+# checks failed is refused in both modes.
 #
 # Usage: scripts/perf_table.sh           # rewrite the tables in place
 #        scripts/perf_table.sh --check   # regenerate into temp copies and
@@ -18,54 +19,109 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 check=0
-[[ "${1:-}" == "--check" ]] && check=1
+case "$*" in
+    "") ;;
+    --check) check=1 ;;
+    *)
+        echo "usage: scripts/perf_table.sh [--check]" >&2
+        exit 2
+        ;;
+esac
 
-json=BENCH_repro.json
-if [[ ! -s "$json" ]]; then
-    echo "error: $json missing or empty — run scripts/bench.sh first" >&2
+record=perf_record.jsonl
+if [[ ! -s "$record" ]]; then
+    echo "error: $record missing or empty — run scripts/bench.sh first" >&2
     exit 1
 fi
+# perfbench's stdout: a provenance line, then the result line.
+provenance=$(sed -n 1p "$record")
+result=$(sed -n 2p "$record")
 
-# metric <row-name> <field>: value of "field" inside the memsim row
-# whose "name" is <row-name>. Relies on the repo's own pretty-printer
-# (one key per line), which is the only producer of this file.
-metric() {
-    awk -v name="\"$1\"" -v field="\"$2\":" '
-        index($0, "\"name\": " name) { hot = 1; next }
-        hot && index($0, field) {
-            v = $NF; gsub(/,$/, "", v); print v; exit
+# get <line> <key> [<field>]: the scalar at "key" (or at "field" inside
+# the object at "key") in one compact JSON line, quotes stripped. Relies
+# on perfbench's printer: no whitespace, and no quote or brace inside the
+# values read here.
+get() {
+    awk -v key="$2" -v field="${3:-}" '
+        function after(s, k,   i) {
+            i = index(s, "\"" k "\":")
+            return i ? substr(s, i + length(k) + 3) : ""
         }
-        hot && index($0, "\"name\":") { exit }
-    ' "$json"
+        {
+            s = after($0, key)
+            if (field != "") s = after(substr(s, 1, index(s, "}")), field)
+            if (s == "") exit
+            if (substr(s, 1, 1) == "\"") {
+                s = substr(s, 2)
+                print substr(s, 1, index(s, "\"") - 1)
+            } else {
+                match(s, /^[^,}]*/)
+                print substr(s, 1, RLENGTH)
+            }
+        }' <<< "$1"
 }
 
 require() {
     if [[ -z "$2" ]]; then
-        echo "error: $json has no memsim/$1 row — rerun scripts/bench.sh from this tree" >&2
+        echo "error: $record has no $1 — rerun scripts/bench.sh from this tree" >&2
         exit 1
     fi
+    printf '%s\n' "$2"
 }
 
-scalar=$(metric cache_scalar maccesses_per_s)
-soa=$(metric batch_soa maccesses_per_s)
-batch=$(metric batch_traces mops_per_s)
-build=$(metric engine_build ns_per_iter)
-reset=$(metric engine_reset ns_per_iter)
-require cache_scalar "$scalar"
-require batch_soa "$soa"
-require batch_traces "$batch"
-require engine_build "$build"
-require engine_reset "$reset"
+# A result value and the work counter the provenance line gives it.
+value() { require "$1" "$(get "$result" "$1" value)"; }
+work() { require "$1 work counter" "$(get "$provenance" "$1" work)"; }
 
-fmt1() { awk -v x="$1" 'BEGIN { printf "%.1f", x }'; }
+# Plain assignments, not expansions inside the table, so that a missing
+# value stops the script (set -e) instead of rendering an empty cell.
+trace=$(require trace "$(get "$provenance" trace)")
+seed=$(require seed "$(get "$provenance" seed)")
+seconds=$(require seconds "$(get "$provenance" seconds)")
+nproc=$(require nproc "$(get "$provenance" nproc)")
+arch=$(require arch_fingerprint "$(get "$provenance" arch_fingerprint)")
+attempted=$(require attempted "$(get "$result" attempted)")
+failed=$(require failed "$(get "$result" failed)")
+if [[ "$trace" != true ]]; then
+    echo "error: $record is not a --trace 1 run; rerun scripts/bench.sh" >&2
+    exit 1
+fi
+if [[ "$failed" != 0 || "$(get "$result" correct)" != true ]]; then
+    echo "error: $record failed $failed of $attempted output checks; rerun scripts/bench.sh" >&2
+    exit 1
+fi
+
+gen=$(value memsim.gen_maccesses_per_s)
+pack=$(value memsim.pack_maccesses_per_s)
+cache=$(value memsim.cache_maccesses_per_s)
+accesses=$(work memsim.cache_maccesses_per_s)
+table1=$(value mlkit.table1_s)
+table1_work=$(work mlkit.table1_s)
+widen=$(value softfp.widen_ns)
+narrow=$(value softfp.narrow_ns)
+quantize=$(value softfp.quantize_ns)
+conversions=$(work softfp.quantize_ns)
+model=$(value codegen.model_s)
+model_work=$(work codegen.model_s)
+mops=$(value accel.mlu_mops_per_s)
+ops=$(work accel.mlu_mops_per_s)
+event_loop=$(value serve.loop_s)
+legs=$(work serve.loop_s)
+
+# fmt <decimals> <value> [<scale>]
+fmt() { awk -v d="$1" -v x="$2" -v k="${3:-1}" 'BEGIN { printf "%.*f", d, x * k }'; }
 
 table=$(cat <<EOF
-| memsim path (k-NN-shaped operand stream) | measured on the bench host |
-|---|---|
-| \`Cache::access\` — reference path, one full set lookup per line | $(fmt1 "$scalar") Maccesses/s |
-| \`Cache::access_soa\` — SoA pass over a packed \`AccessBlock\` | $(fmt1 "$soa") Maccesses/s |
-| \`commit_block\` — three tiled kernel templates, packed once, SoA replay | $(fmt1 "$batch") Mops/s |
-| \`SimdEngine\` build vs pooled reset | $(fmt1 "$build") vs $(fmt1 "$reset") ns |
+perfbench \`--trace 1\`, seed $seed, $seconds s, nproc $nproc, \`$arch\`: $attempted output checks, 0 failed.
+
+| layer | timed (best pass) | measured | work per pass |
+|---|---|---|---|
+| memsim | fig09 operand stream: generation / SoA packing / cache pass | $(fmt 1 "$gen") / $(fmt 1 "$pack") / $(fmt 1 "$cache") Maccesses/s | \`$accesses\` |
+| mlkit | Table 1 training, every technique and precision | $(fmt 3 "$table1") s | \`$table1_work\` |
+| softfp | binary16 widen / f32 narrow / batch quantize | $(fmt 2 "$widen") / $(fmt 2 "$narrow") / $(fmt 2 "$quantize") ns per conversion | \`$conversions\` |
+| codegen | analytic model of one program per technique | $(fmt 3 "$model" 1e3) ms | \`$model_work\` |
+| accel | functional executor, one program per technique | $(fmt 1 "$mops") Mops/s | \`$ops\` |
+| serve | fleet event loop (fleet minus memsim replay) | $(fmt 3 "$event_loop") s | \`$legs\` |
 EOF
 )
 
@@ -88,9 +144,9 @@ splice() {
         echo "updated $doc"
     elif cmp -s "$tmp" "$doc"; then
         rm -f "$tmp"
-        echo "$doc matches $json"
+        echo "$doc matches $record"
     else
-        echo "error: the perf table in $doc differs from what $json regenerates:" >&2
+        echo "error: the perf table in $doc differs from what $record regenerates:" >&2
         diff -u "$doc" "$tmp" >&2 || true
         rm -f "$tmp"
         drift=1
@@ -105,7 +161,7 @@ if [[ $check -eq 1 ]]; then
         echo "error: perf tables drifted; run scripts/perf_table.sh and commit the docs" >&2
         exit 1
     fi
-    echo "OK: perf tables match $json"
+    echo "OK: perf tables match $record"
 else
-    echo "OK: perf tables regenerated from $json"
+    echo "OK: perf tables regenerated from $record"
 fi
