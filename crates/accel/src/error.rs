@@ -7,8 +7,8 @@ use crate::timing::DecodeError;
 use core::fmt;
 
 /// Unified error for everything the accelerator crate can fail at:
-/// configuration validation, program construction, execution, and
-/// report export. All the narrower error types convert into it, so
+/// configuration validation, program construction and execution. All
+/// the narrower error types convert into it, so
 /// `?` composes across the whole API surface:
 ///
 /// ```
@@ -39,8 +39,6 @@ pub enum Error {
     Program(ProgramError),
     /// The architecture configuration is invalid.
     Config(ConfigError),
-    /// Exporting a report failed (e.g. the output file is not writable).
-    Export(std::io::Error),
 }
 
 impl Error {
@@ -63,7 +61,6 @@ impl fmt::Display for Error {
             Error::Exec(e) => write!(f, "execution: {e}"),
             Error::Program(e) => write!(f, "program: {e}"),
             Error::Config(e) => write!(f, "configuration: {e}"),
-            Error::Export(e) => write!(f, "report export: {e}"),
         }
     }
 }
@@ -74,7 +71,6 @@ impl std::error::Error for Error {
             Error::Exec(e) => Some(e),
             Error::Program(e) => Some(e),
             Error::Config(e) => Some(e),
-            Error::Export(e) => Some(e),
         }
     }
 }
@@ -103,12 +99,6 @@ impl From<DecodeError> for Error {
     }
 }
 
-impl From<std::io::Error> for Error {
-    fn from(e: std::io::Error) -> Error {
-        Error::Export(e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,9 +119,6 @@ mod tests {
 
         let e: Error = DecodeError::UnsupportedCombination.into();
         assert!(matches!(e, Error::Exec(ExecError::Decode(_))));
-
-        let e: Error = std::io::Error::other("disk full").into();
-        assert!(e.to_string().contains("disk full"));
     }
 
     #[test]

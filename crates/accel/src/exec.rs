@@ -420,13 +420,7 @@ impl Accelerator {
             trace.set_high_water(BufferKind::Hot, self.hot.footprint_elems() as u64);
             trace.set_high_water(BufferKind::Cold, self.cold.footprint_elems() as u64);
             trace.set_high_water(BufferKind::Output, self.out.footprint_elems() as u64);
-            if trace.events_dropped > 0 {
-                eprintln!(
-                    "warning: trace event ring overflowed; {} event(s) dropped — the timeline \
-                     is truncated (raise TraceConfig::event_capacity for a complete one)",
-                    trace.events_dropped
-                );
-            }
+            trace.warn_if_dropped();
         }
         Ok(RunReport {
             label: None,
@@ -1535,7 +1529,7 @@ mod tests {
         assert!(trace.events_iter().any(|e| e.kind() == "issue"));
         assert!(trace.events_iter().any(|e| e.kind() == "dma_start"));
         assert!(trace.events_iter().any(|e| e.kind() == "ping_pong_flip"));
-        assert_eq!(trace.events_dropped, 0);
+        assert_eq!(trace.events_dropped(), 0);
         // The borrowing iterator and the cloning accessor agree.
         assert!(trace.events_iter().copied().eq(trace.events()));
         // Cycle stamps never decrease instruction-to-instruction.

@@ -692,7 +692,7 @@ impl FaultState {
                     TraceEvent::LaneMasked { lanes_left, inst, cycle }
                 }
             };
-            trace.push_fault(event);
+            trace.push_event(event);
         }
     }
 

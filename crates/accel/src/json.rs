@@ -191,6 +191,19 @@ impl Value {
     }
 }
 
+/// Writes `value` to `path` as [`Value::to_string_pretty`] text, byte for
+/// byte: the one way every JSON report and timeline in the workspace
+/// reaches disk.
+///
+/// # Errors
+///
+/// `cannot write <path>: <reason>` when the file cannot be written.
+pub fn write_file(path: impl AsRef<std::path::Path>, value: &Value) -> Result<(), String> {
+    let path = path.as_ref();
+    std::fs::write(path, value.to_string_pretty())
+        .map_err(|e| format!("cannot write {}: {e}", path.display()))
+}
+
 /// Where and why [`parse`] rejected a document.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ParseError {
@@ -753,6 +766,19 @@ mod tests {
             files += 1;
         }
         assert!(files >= 2, "found only {files} committed JSON files under {root}");
+    }
+
+    #[test]
+    fn write_file_writes_the_pretty_text_or_names_the_path() {
+        let dir = std::env::temp_dir().join(format!("json_write_file_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let doc = Value::object().with("cycles", 7u64);
+        write_file(dir.join("doc.json"), &doc).unwrap();
+        assert_eq!(std::fs::read_to_string(dir.join("doc.json")).unwrap(), doc.to_string_pretty());
+        // A directory where the file should go.
+        let err = write_file(&dir, &doc).unwrap_err();
+        assert!(err.starts_with(&format!("cannot write {}: ", dir.display())), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -18,15 +18,17 @@
 //!   utilisation breakdown behind the verdict ([`PhaseAnalysis`]).
 //! - [`validate_timeline`] structurally checks an exported timeline
 //!   (begin/end balance, per-track monotonicity) — the guard used by the
-//!   property tests and `scripts/check.sh --profile`.
+//!   property tests and `scripts/check.sh --profile`;
+//!   [`export_timeline`] writes a timeline and validates the file it
+//!   wrote.
 //!
-//! Everything here is a pure function over already-collected reports:
-//! profiling a run costs nothing beyond the trace layer that recorded it,
-//! and nothing at all when tracing is off.
+//! Apart from that one writer, everything here is a pure function over
+//! already-collected reports: profiling a run costs nothing beyond the
+//! trace layer that recorded it, and nothing at all when tracing is off.
 
 use crate::config::ArchConfig;
 use crate::isa::{Program, ReadOp, WriteOp};
-use crate::json::Value;
+use crate::json::{self, Value};
 use crate::stats::MluStage;
 use crate::timing::instruction_timing;
 use crate::trace::{RunReport, TraceEvent, TraceReport};
@@ -341,7 +343,7 @@ pub fn chrome_trace(
     tracks.build(
         Value::object()
             .with("config_fingerprint", config.fingerprint())
-            .with("events_dropped", trace.events_dropped)
+            .with("events_dropped", trace.events_dropped())
             .with("timestamp_unit", "cycles"),
     )
 }
@@ -428,6 +430,30 @@ pub fn validate_timeline(doc: &Value) -> Result<TimelineCheck, String> {
     }
     check.tracks = last_ts.len();
     Ok(check)
+}
+
+/// Writes a timeline document to `path` with [`json::write_file`], then
+/// reads the file back, parses it and runs [`validate_timeline`] on it:
+/// the counts returned describe the bytes on disk, not the in-memory
+/// document. The device timeline ([`chrome_trace`]) and the serving
+/// layer's fleet timeline are both exported through it.
+///
+/// # Errors
+///
+/// A message naming `path` when the write, the read-back or the parse
+/// fails, or when the document is structurally invalid.
+pub fn export_timeline(
+    doc: &Value,
+    path: impl AsRef<std::path::Path>,
+) -> Result<TimelineCheck, String> {
+    let path = path.as_ref();
+    json::write_file(path, doc)?;
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read back {}: {e}", path.display()))?;
+    let parsed =
+        json::parse(&text).map_err(|e| format!("{} is not valid JSON: {e}", path.display()))?;
+    validate_timeline(&parsed)
+        .map_err(|e| format!("{} is not a valid timeline: {e}", path.display()))
 }
 
 /// Fraction of total cycles spent on fault-layer overhead above which a
@@ -667,6 +693,19 @@ mod tests {
             doc.get("otherData").and_then(|o| o.get("events_dropped")),
             Some(&Value::UInt(0))
         );
+    }
+
+    #[test]
+    fn exported_timeline_validates_from_disk() {
+        let (config, program, report) = traced_run();
+        let doc = chrome_trace(&config, &program, report.trace.as_ref().unwrap(), &[]);
+        let path = std::env::temp_dir().join(format!("export_timeline_{}", std::process::id()));
+        let check = export_timeline(&doc, &path).unwrap();
+        assert_eq!(check, validate_timeline(&doc).unwrap());
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), doc.to_string_pretty());
+        let err = export_timeline(&Value::object(), &path).unwrap_err();
+        assert!(err.ends_with("is not a valid timeline: missing traceEvents array"), "{err}");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -39,7 +39,6 @@
 
 use crate::buffer::BufferKind;
 use crate::config::ArchConfig;
-use crate::error::Error;
 use crate::isa::{Instruction, ReadOp, WriteOp};
 use crate::json::Value;
 use crate::stats::ExecStats;
@@ -56,7 +55,8 @@ pub struct TraceConfig {
     /// trace is enabled.
     pub events: bool,
     /// Ring capacity: when full, the oldest events are dropped (and
-    /// counted in [`TraceReport::events_dropped`]).
+    /// counted in [`TraceReport::events_dropped`]). With `events` on, a
+    /// capacity of 0 counts every event as dropped.
     pub event_capacity: usize,
 }
 
@@ -281,6 +281,79 @@ impl AluOpCounts {
     }
 }
 
+/// A bounded drop-oldest event ring. Once `capacity` events are held,
+/// each new event evicts the oldest, and every lost event is counted in
+/// [`EventRing::events_dropped`], so a truncated record keeps the most
+/// recent events and says how many it lost. A capacity of 0 keeps
+/// nothing and counts every event as dropped.
+///
+/// The device trace ([`TraceReport`]) and the serving layer's fleet span
+/// ring both store their events in one.
+#[derive(Clone, Debug, PartialEq)]
+pub struct EventRing<T> {
+    capacity: usize,
+    events: Vec<T>,
+    start: usize,
+    /// Events discarded because the ring was full.
+    pub events_dropped: u64,
+}
+
+/// Set by the first overflow warning of the process, from either layer.
+static OVERFLOW_WARNED: std::sync::Once = std::sync::Once::new();
+
+impl<T> EventRing<T> {
+    /// An empty ring holding at most `capacity` events.
+    #[must_use]
+    pub fn new(capacity: usize) -> EventRing<T> {
+        EventRing {
+            capacity,
+            events: Vec::with_capacity(capacity.min(1 << 12)),
+            start: 0,
+            events_dropped: 0,
+        }
+    }
+
+    /// Records one event, evicting the oldest when full.
+    pub fn push(&mut self, event: T) {
+        if self.events.len() < self.capacity {
+            self.events.push(event);
+            return;
+        }
+        if let Some(oldest) = self.events.get_mut(self.start) {
+            *oldest = event;
+            self.start = (self.start + 1) % self.capacity;
+        }
+        self.events_dropped = self.events_dropped.saturating_add(1);
+    }
+
+    /// Borrowing iterator over the held events, oldest first.
+    pub fn events_iter(&self) -> impl Iterator<Item = &T> + Clone + '_ {
+        self.events[self.start..].iter().chain(&self.events[..self.start])
+    }
+
+    /// Prints one stderr warning if this ring dropped events — at most
+    /// once per process, whichever layer's ring (`ring` names it)
+    /// overflows first, so a sweep of truncated runs warns once. The
+    /// drop counts themselves are always in the reports and timelines.
+    pub fn warn_if_dropped(&self, ring: &str) {
+        if self.events_dropped > 0 {
+            OVERFLOW_WARNED.call_once(|| {
+                eprintln!(
+                    "warning: {ring} event ring overflowed; {} event(s) dropped — the timeline \
+                     is truncated (raise TraceConfig::event_capacity for a complete one)",
+                    self.events_dropped
+                );
+            });
+        }
+    }
+}
+
+impl<T> Default for EventRing<T> {
+    fn default() -> EventRing<T> {
+        EventRing::new(0)
+    }
+}
+
 /// Everything one traced run recorded. Produced by
 /// [`Accelerator::run`](crate::Accelerator::run) when tracing is enabled.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -295,19 +368,16 @@ pub struct TraceReport {
     pub alu_ops: AluOpCounts,
     /// Double-buffering ping-pong flips.
     pub ping_pong_flips: u64,
-    /// Events discarded because the ring was full.
-    pub events_dropped: u64,
-    events: Vec<TraceEvent>,
-    ring_start: usize,
+    events: EventRing<TraceEvent>,
     record_events: bool,
-    event_capacity: usize,
 }
 
 impl TraceReport {
     pub(crate) fn new(config: &TraceConfig) -> TraceReport {
+        let capacity = if config.events { config.event_capacity } else { 0 };
         TraceReport {
+            events: EventRing::new(capacity),
             record_events: config.events,
-            event_capacity: config.event_capacity,
             ..TraceReport::default()
         }
     }
@@ -335,29 +405,26 @@ impl TraceReport {
     /// Borrowing iterator over the recorded events, oldest first — the
     /// same order as [`TraceReport::events`] without cloning the ring.
     pub fn events_iter(&self) -> impl Iterator<Item = &TraceEvent> + Clone + '_ {
-        self.events[self.ring_start..].iter().chain(self.events[..self.ring_start].iter())
+        self.events.events_iter()
     }
 
-    fn push_event(&mut self, event: TraceEvent) {
-        if !self.record_events || self.event_capacity == 0 {
-            if self.record_events {
-                self.events_dropped += 1;
-            }
-            return;
-        }
-        if self.events.len() < self.event_capacity {
+    /// Events discarded because the ring was full (0 when the ring is
+    /// off: a counters-only trace records no events and drops none).
+    #[must_use]
+    pub fn events_dropped(&self) -> u64 {
+        self.events.events_dropped
+    }
+
+    /// Warns on stderr, once per process, if this run's ring overflowed.
+    pub(crate) fn warn_if_dropped(&self) {
+        self.events.warn_if_dropped("accel trace");
+    }
+
+    /// Records an executor or fault-layer event when the ring is on.
+    pub(crate) fn push_event(&mut self, event: TraceEvent) {
+        if self.record_events {
             self.events.push(event);
-        } else {
-            self.events[self.ring_start] = event;
-            self.ring_start = (self.ring_start + 1) % self.event_capacity;
-            self.events_dropped += 1;
         }
-    }
-
-    /// Pushes a fault-layer event into the ring (same drop policy as
-    /// executor events).
-    pub(crate) fn push_fault(&mut self, event: TraceEvent) {
-        self.push_event(event);
     }
 
     fn buffer_mut(&mut self, kind: BufferKind) -> &mut BufferCounters {
@@ -368,7 +435,8 @@ impl TraceReport {
         }
     }
 
-    fn record_fill(&mut self, kind: BufferKind, elems: u64) {
+    /// Counts one write: a DMA fill or a result write.
+    fn record_write(&mut self, kind: BufferKind, elems: u64) {
         let c = self.buffer_mut(kind);
         c.writes += 1;
         c.write_elems += elems;
@@ -378,12 +446,6 @@ impl TraceReport {
         let c = self.buffer_mut(kind);
         c.reads += 1;
         c.read_elems += elems;
-    }
-
-    fn record_result(&mut self, kind: BufferKind, elems: u64) {
-        let c = self.buffer_mut(kind);
-        c.writes += 1;
-        c.write_elems += elems;
     }
 
     /// Records one executed instruction: buffer activity from its slots,
@@ -404,24 +466,24 @@ impl TraceReport {
         // only non-tree instructions touch the HotBuf here.
         if !matches!(mode, Mode::TreeStep) && inst.hot.op != ReadOp::Null {
             if inst.hot.op == ReadOp::Load {
-                self.record_fill(BufferKind::Hot, inst.hot.elems());
+                self.record_write(BufferKind::Hot, inst.hot.elems());
             }
             self.record_stream(BufferKind::Hot, inst.hot.elems());
         }
         if inst.cold.op != ReadOp::Null {
             if inst.cold.op == ReadOp::Load {
-                self.record_fill(BufferKind::Cold, inst.cold.elems());
+                self.record_write(BufferKind::Cold, inst.cold.elems());
             }
             self.record_stream(BufferKind::Cold, inst.cold.elems());
         }
         if inst.out.read_op != ReadOp::Null {
             if inst.out.read_op == ReadOp::Load {
-                self.record_fill(BufferKind::Output, inst.out.elems());
+                self.record_write(BufferKind::Output, inst.out.elems());
             }
             self.record_stream(BufferKind::Output, inst.out.elems());
         }
         if inst.out.write_op != WriteOp::Null {
-            self.record_result(BufferKind::Output, inst.out.elems());
+            self.record_write(BufferKind::Output, inst.out.elems());
             if inst.out.write_op == WriteOp::Store {
                 // The store DMA drains the freshly written region.
                 self.record_stream(BufferKind::Output, inst.out.elems());
@@ -479,7 +541,7 @@ impl TraceReport {
             )
             .with("alu_ops", self.alu_ops.to_json())
             .with("ping_pong_flips", self.ping_pong_flips)
-            .with("events_dropped", self.events_dropped)
+            .with("events_dropped", self.events_dropped())
             .with("events", Value::array(self.events_iter().map(|e| e.to_json()).collect()))
     }
 }
@@ -546,16 +608,6 @@ impl RunReport {
     pub fn to_json_pretty(&self) -> String {
         self.to_json().to_string_pretty()
     }
-
-    /// Writes the pretty-printed JSON report to `path`.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Export`] when the file cannot be written.
-    pub fn write_json(&self, path: impl AsRef<std::path::Path>) -> Result<(), Error> {
-        std::fs::write(path, self.to_json_pretty())?;
-        Ok(())
-    }
 }
 
 impl fmt::Display for RunReport {
@@ -585,7 +637,7 @@ mod tests {
         assert_eq!(events.len(), 2);
         assert_eq!(events[0], TraceEvent::Issue { inst: 3, cycle: 3 });
         assert_eq!(events[1], TraceEvent::Issue { inst: 4, cycle: 4 });
-        assert_eq!(t.events_dropped, 3);
+        assert_eq!(t.events_dropped(), 3);
     }
 
     #[test]
@@ -593,7 +645,7 @@ mod tests {
         let mut t = TraceReport::new(&TraceConfig::counters());
         t.push_event(TraceEvent::Retire { inst: 0, cycle: 1 });
         assert!(t.events().is_empty());
-        assert_eq!(t.events_dropped, 0);
+        assert_eq!(t.events_dropped(), 0);
     }
 
     #[test]
@@ -601,7 +653,20 @@ mod tests {
         let mut t = TraceReport::new(&TraceConfig::with_event_capacity(0));
         t.push_event(TraceEvent::Retire { inst: 0, cycle: 1 });
         assert!(t.events().is_empty());
-        assert_eq!(t.events_dropped, 1);
+        assert_eq!(t.events_dropped(), 1);
+    }
+
+    #[test]
+    fn overflow_arms_the_process_wide_warning() {
+        let mut ring = EventRing::new(1);
+        ring.push(0u8);
+        ring.push(1);
+        assert_eq!(
+            (ring.events_iter().copied().collect::<Vec<_>>(), ring.events_dropped),
+            (vec![1], 1)
+        );
+        ring.warn_if_dropped("test");
+        assert!(OVERFLOW_WARNED.is_completed(), "later overflows, in either layer, stay quiet");
     }
 
     #[test]

@@ -104,7 +104,7 @@ proptest! {
         // One ping-pong flip per overlapped instruction.
         prop_assert_eq!(trace.ping_pong_flips, (shapes.len() as u64).saturating_sub(1));
         // Counters-only tracing drops nothing (there is nothing to drop).
-        prop_assert_eq!(trace.events_dropped, 0);
+        prop_assert_eq!(trace.events_dropped(), 0);
     }
 
     /// Tracing is observation only: a trace-off run and a full-trace run

@@ -50,8 +50,8 @@ fn main() {
     println!("[faults] sdc {}", all.sdc);
     println!("[faults] crash {}", all.crash);
 
-    if let Err(e) = std::fs::write(&out, json.to_string_pretty() + "\n") {
-        eprintln!("error: cannot write {out}: {e}");
+    if let Err(e) = pudiannao_accel::json::write_file(&out, &json) {
+        eprintln!("error: {e}");
         std::process::exit(1);
     }
     println!("  wrote {out}");

@@ -1,20 +1,16 @@
 //! Timeline profiler and bottleneck report; see `pudiannao_bench::profile`.
 //!
-//! Usage: `profile [--out-dir DIR]`. Writes
-//!
-//! - `trace_timeline.json` — Chrome Trace Event JSON of a traced,
-//!   functionally executed k-Means distance phase (open it in
-//!   `chrome://tracing` or <https://ui.perfetto.dev>), and
-//! - `phase_reports.json` — all 13 Figure-15 phase reports, each with its
-//!   bottleneck `analysis` object,
-//!
-//! then prints the per-phase verdict table. The written timeline is
-//! parsed back and structurally validated before the run reports
-//! success. All output is deterministic: byte-identical at any
-//! `REPRO_THREADS` setting.
+//! Usage: `profile [--out-dir DIR]`. Writes `trace_timeline.json`, the
+//! Chrome Trace Event JSON of a traced, functionally executed k-Means
+//! distance phase (open it in `chrome://tracing` or
+//! <https://ui.perfetto.dev>), then prints the bottleneck verdict of each
+//! of the 13 Figure-15 phases (`repro_all` writes their reports to
+//! `phase_reports.json`). The written timeline is parsed back and
+//! structurally validated before the run reports success. All output is
+//! deterministic: byte-identical at any `REPRO_THREADS` setting.
 
-use pudiannao_accel::profile::{chrome_trace, validate_timeline};
-use pudiannao_accel::{json, ArchConfig};
+use pudiannao_accel::profile::{chrome_trace, export_timeline};
+use pudiannao_accel::ArchConfig;
 use pudiannao_bench::{evaluation, profile};
 
 fn main() {
@@ -35,51 +31,26 @@ fn main() {
             }
         }
     }
-    let dir = std::path::Path::new(&dir);
 
     pudiannao_bench::banner("profile", "timeline export and bottleneck attribution");
 
-    // Timeline: trace the functional stand-in phase, export, then parse
-    // the on-disk bytes back and validate the structure end to end.
     let traced = profile::traced_phase();
     let trace = traced.report.trace.as_ref().expect("traced run carries a trace");
     let doc = chrome_trace(&traced.config, &traced.program, trace, &traced.labels);
-    let timeline_path = dir.join("trace_timeline.json");
-    let text = doc.to_string_pretty() + "\n";
-    if let Err(e) = std::fs::write(&timeline_path, &text) {
-        eprintln!("error: cannot write {}: {e}", timeline_path.display());
-        std::process::exit(1);
-    }
-    let reread = match json::parse(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: exported timeline is not valid JSON: {e}");
-            std::process::exit(1);
-        }
-    };
-    match validate_timeline(&reread) {
+    let timeline_path = std::path::Path::new(&dir).join("trace_timeline.json");
+    match export_timeline(&doc, &timeline_path) {
         Ok(check) => println!(
             "[profile] timeline valid: {} spans, {} instants, {} tracks",
             check.spans, check.instants, check.tracks
         ),
         Err(e) => {
-            eprintln!("error: exported timeline is structurally invalid: {e}");
+            eprintln!("error: {e}");
             std::process::exit(1);
         }
     }
     println!("  wrote {}", timeline_path.display());
 
-    // Per-phase bottleneck reports for all 13 Figure-15 phases.
-    let reports_path = dir.join("phase_reports.json");
-    if let Err(e) =
-        std::fs::write(&reports_path, evaluation::phase_reports_json().to_string_pretty() + "\n")
-    {
-        eprintln!("error: cannot write {}: {e}", reports_path.display());
-        std::process::exit(1);
-    }
-    println!("  wrote {}", reports_path.display());
-
     let reports = evaluation::phase_run_reports();
     let cfg = ArchConfig::paper_default();
-    print!("{}", profile::summary(&reports, &cfg, trace.events_dropped));
+    print!("{}", profile::summary(&reports, &cfg, trace.events_dropped()));
 }

@@ -2,6 +2,9 @@
 //! plus `phase_reports.json` (one machine-readable `RunReport` per
 //! Figure-15 phase).
 //!
+//! Usage: `repro_all` (no arguments). Each experiment prints under its
+//! `==== <id>: <title> ====` banner.
+//!
 //! The experiments are independent, so they run on the
 //! `pudiannao_serve::pool` worker pool (capped by `REPRO_THREADS`;
 //! set it to 1 for fully sequential console output). Results are
@@ -9,13 +12,17 @@
 //! whatever the worker count — only the interleaving of the progress
 //! lines on stdout changes.
 
-use pudiannao_accel::json::Value;
+use pudiannao_accel::json::{self, Value};
 use pudiannao_bench::{evaluation, locality, ExperimentReport};
 use pudiannao_serve::pool::{run_indexed, worker_count};
 
 type Job = Box<dyn FnOnce() -> ExperimentReport + Send>;
 
 fn main() {
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("error: unexpected argument {arg:?} (usage: repro_all, no arguments)");
+        std::process::exit(2);
+    }
     let jobs: Vec<Job> = vec![
         Box::new(locality::fig02_knn_tiling),
         Box::new(locality::fig04_kmeans_tiling),
@@ -41,18 +48,17 @@ fn main() {
         println!("running {} experiments on {workers} workers", jobs.len());
     }
     let reports = run_indexed(jobs);
-    let json =
-        Value::array(reports.iter().map(ExperimentReport::to_json).collect()).to_string_pretty();
-    write_or_exit("repro_summary.json", &json);
+    let summary = Value::array(reports.iter().map(ExperimentReport::to_json).collect());
+    write_or_exit("repro_summary.json", &summary);
     println!("\nwrote repro_summary.json ({} experiments)", reports.len());
 
-    write_or_exit("phase_reports.json", &evaluation::phase_reports_json().to_string_pretty());
+    write_or_exit("phase_reports.json", &evaluation::phase_reports_json());
     println!("wrote phase_reports.json (13 per-phase run reports)");
 }
 
-fn write_or_exit(path: &str, text: &str) {
-    if let Err(e) = std::fs::write(path, text) {
-        eprintln!("error: cannot write {path}: {e}");
+fn write_or_exit(path: &str, doc: &Value) {
+    if let Err(e) = json::write_file(path, doc) {
+        eprintln!("error: {e}");
         std::process::exit(1);
     }
 }

@@ -1,9 +1,12 @@
-//! Shared reporting helpers for the reproduction binaries.
+//! The reproduction harness and its shared reporting helpers.
 //!
-//! Every `repro_*` binary regenerates one table or figure from the paper
-//! and prints (a) the measured series and (b) a paper-vs-measured check
-//! line for each number the paper states explicitly. `repro_all` collects
-//! the same data as JSON for EXPERIMENTS.md.
+//! Each experiment function in [`locality`] and [`evaluation`]
+//! regenerates one table, figure or ablation from the paper: it prints,
+//! under its [`banner`], (a) the measured series and (b) a
+//! paper-vs-measured check line for each number the paper states
+//! explicitly, and returns them as an [`ExperimentReport`]. The
+//! `repro_all` binary runs all 18 and writes their reports to
+//! `repro_summary.json` for EXPERIMENTS.md.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,10 +1,9 @@
 //! The profiler reporting pipeline: a traced Figure-15-representative
 //! phase for the timeline export and the per-phase bottleneck summary.
 //!
-//! The `profile` binary writes `trace_timeline.json` (Chrome Trace Event
-//! JSON from [`pudiannao_accel::profile::chrome_trace`]) and
-//! `phase_reports.json`, and prints the [`summary`] table;
-//! `scripts/check.sh --profile` pins both outputs.
+//! The `profile` binary writes only `trace_timeline.json` (Chrome Trace
+//! Event JSON from [`pudiannao_accel::profile::chrome_trace`]) and prints
+//! the [`summary`] table; `scripts/check.sh --profile` pins both.
 //!
 //! Everything here is a pure function of the built-in workloads and the
 //! paper configuration: no wall-clock, no randomness, so every output is
@@ -118,7 +117,7 @@ mod tests {
     fn traced_phase_yields_a_valid_labelled_timeline() {
         let traced = traced_phase();
         let trace = traced.report.trace.as_ref().unwrap();
-        assert_eq!(trace.events_dropped, 0, "ring must hold the whole run");
+        assert_eq!(trace.events_dropped(), 0, "ring must hold the whole run");
         let doc = chrome_trace(&traced.config, &traced.program, trace, &traced.labels);
         let check = validate_timeline(&doc).unwrap();
         assert!(check.spans >= traced.program.len(), "at least one span per instruction");

@@ -1,7 +1,8 @@
 //! The profiler pipeline and the model's headline numbers are pure
-//! functions of the built-in workloads: the timeline and phase reports
-//! are byte-identical whether the phase models run on one worker or many,
-//! and every headline equals its committed value exactly.
+//! functions of the built-in workloads: the timeline and the reports
+//! `repro_all` writes are byte-identical whether the experiments run on
+//! one worker or many, and every headline equals its committed value
+//! exactly.
 
 use std::process::Command;
 
@@ -13,7 +14,17 @@ use pudiannao_serve::{
     ObserveConfig, SweepPoint,
 };
 
-fn run_profile(threads: &str, dir: &std::path::Path) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
+/// The names of the files in `dir`, sorted.
+fn files_in(dir: &std::path::Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
+
+fn run_profile(threads: &str, dir: &std::path::Path) -> (Vec<u8>, Vec<u8>) {
     std::fs::create_dir_all(dir).unwrap();
     // Run from inside `dir` with the default out-dir so the printed
     // paths (and therefore the stdout bytes) are directory-independent.
@@ -23,11 +34,9 @@ fn run_profile(threads: &str, dir: &std::path::Path) -> (Vec<u8>, Vec<u8>, Vec<u
         .output()
         .expect("profile binary runs");
     assert!(out.status.success(), "profile failed with REPRO_THREADS={threads}");
-    (
-        out.stdout,
-        std::fs::read(dir.join("trace_timeline.json")).expect("timeline written"),
-        std::fs::read(dir.join("phase_reports.json")).expect("phase reports written"),
-    )
+    // `phase_reports.json` is `repro_all`'s alone.
+    assert_eq!(files_in(dir), ["trace_timeline.json"], "profile writes only its timeline");
+    (out.stdout, std::fs::read(dir.join("trace_timeline.json")).expect("timeline written"))
 }
 
 #[test]
@@ -38,12 +47,44 @@ fn profile_outputs_are_identical_at_any_thread_count() {
     assert!(!serial.1.is_empty());
     assert_eq!(serial.0, parallel.0, "worker count changed the summary bytes");
     assert_eq!(serial.1, parallel.1, "worker count changed trace_timeline.json");
-    assert_eq!(serial.2, parallel.2, "worker count changed phase_reports.json");
     let stdout = String::from_utf8(serial.0).unwrap();
     // 15 marker lines: the timeline check, one verdict per Figure-15
     // phase (13), and the surfaced drop count.
     assert_eq!(stdout.lines().filter(|l| l.starts_with("[profile] ")).count(), 15);
     assert!(stdout.contains("[profile] events_dropped 0"));
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The committed report `name` at the repository root.
+fn committed(name: &str) -> String {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../").to_owned() + name;
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+/// `repro_all` writes the committed `repro_summary.json` and
+/// `phase_reports.json` byte for byte, on one worker or four.
+#[test]
+fn repro_all_writes_the_committed_reports_at_any_thread_count() {
+    let root = std::env::temp_dir().join(format!("repro_determinism_{}", std::process::id()));
+    for threads in ["1", "4"] {
+        let dir = root.join(threads);
+        std::fs::create_dir_all(&dir).unwrap();
+        let out = Command::new(env!("CARGO_BIN_EXE_repro_all"))
+            .current_dir(&dir)
+            .env("REPRO_THREADS", threads)
+            .output()
+            .expect("repro_all runs");
+        assert!(out.status.success(), "repro_all failed with REPRO_THREADS={threads}");
+        assert_eq!(files_in(&dir), ["phase_reports.json", "repro_summary.json"]);
+        for name in ["repro_summary.json", "phase_reports.json"] {
+            let fresh = std::fs::read_to_string(dir.join(name)).unwrap();
+            assert_same_text(
+                &format!("{name} (REPRO_THREADS={threads})"),
+                &fresh,
+                &committed(name),
+            );
+        }
+    }
     let _ = std::fs::remove_dir_all(&root);
 }
 
@@ -61,11 +102,6 @@ fn assert_same_text(name: &str, fresh: &str, committed: &str) {
 /// deliberate change re-pins by regenerating the committed report.
 #[test]
 fn model_headlines_equal_the_committed_reports() {
-    let committed = |name: &str| {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../").to_owned() + name;
-        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
-    };
-
     // Cycles and joules of the 13 Figure-15 phases.
     assert_same_text(
         "phase_reports.json",

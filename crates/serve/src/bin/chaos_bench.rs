@@ -26,10 +26,11 @@
 //! Lines tagged `[trace]` are pinned by `scripts/check.sh
 //! --serve-trace`.
 
-use pudiannao_accel::json::Value;
+use pudiannao_accel::json::{self, Value};
+use pudiannao_accel::profile::export_timeline;
 use pudiannao_serve::sweep::{chaos_fleet, chaos_sweep, gate_generator, ChaosCell, CHAOS_SEED};
 use pudiannao_serve::{
-    export_timeline, serve, serve_observed, ChaosConfig, Defense, GeneratorConfig, ObserveConfig,
+    fleet_timeline, serve, serve_observed, ChaosConfig, Defense, GeneratorConfig, ObserveConfig,
 };
 
 fn print_cell(cell: &ChaosCell) {
@@ -144,9 +145,8 @@ fn main() {
         .with("chaos_seed", CHAOS_SEED)
         .with("baseline_p99_ns", p99)
         .with("cells", arr);
-    let body = doc.to_string_pretty();
-    if let Err(e) = std::fs::write(&out, body + "\n") {
-        eprintln!("error: writing {out}: {e}");
+    if let Err(e) = json::write_file(&out, &doc) {
+        eprintln!("error: {e}");
         std::process::exit(1);
     }
     println!("[chaos] wrote {out}");
@@ -162,8 +162,9 @@ fn main() {
             &Defense::full(p99),
             &ObserveConfig::full(gen.requests),
         );
-        let check = export_timeline(&traced, &trace_out).unwrap_or_else(|e| {
-            eprintln!("error: exporting timeline: {e}");
+        let timeline = fleet_timeline(&traced).expect("observed run carries a trace");
+        let check = export_timeline(&timeline, &trace_out).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
             std::process::exit(1);
         });
         let obs = traced.observability.as_ref().expect("observed run carries observability");

@@ -448,7 +448,7 @@ struct Observer {
 impl Observer {
     fn new(observe: &ObserveConfig, shards: usize) -> Observer {
         Observer {
-            trace: observe.trace.as_ref().map(FleetTrace::new),
+            trace: observe.trace.as_ref().map(TraceConfig::ring),
             metrics: observe.metrics.as_ref().map(|m| MetricsRecorder::new(m, shards)),
             tiers: [TierBreakdown::default(); 3],
             lane_open: [None; Technique::ALL.len()],
@@ -643,10 +643,10 @@ impl Observer {
                 shard_verdict(stats, down_ns, makespan_ns)
             })
             .collect();
-        let events_dropped = self.trace.as_ref().map_or(0, |t| t.events_dropped);
-        if events_dropped > 0 {
-            crate::trace::warn_events_dropped(events_dropped);
+        if let Some(trace) = &self.trace {
+            trace.warn_if_dropped("fleet span");
         }
+        let events_dropped = self.trace.as_ref().map_or(0, |t| t.events_dropped);
         report.observability = Some(ObservabilityReport {
             events_dropped,
             tiers: self.tiers,

@@ -65,6 +65,4 @@ pub use report::{
 };
 pub use request::{technique_of, Leg, Priority, Request, RequestKind, SizeTier};
 pub use sweep::{scaling_sweep, SweepPoint, SWEEP_SHARDS};
-pub use trace::{
-    export_timeline, fleet_timeline, FleetTrace, LegOutcome, RootOutcome, SpanEvent, TraceConfig,
-};
+pub use trace::{fleet_timeline, FleetTrace, LegOutcome, RootOutcome, SpanEvent, TraceConfig};

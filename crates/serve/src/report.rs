@@ -684,7 +684,7 @@ mod tests {
         assert!(b.contains("\"shard_verdicts\""));
         assert!(!b.contains("\"metrics\""), "metrics key only appears when metrics ran");
         // The raw ring never leaks into the JSON.
-        observed.trace = Some(crate::trace::FleetTrace::new(&crate::trace::TraceConfig::default()));
+        observed.trace = Some(crate::trace::TraceConfig::default().ring());
         assert_eq!(observed.to_json().to_string_pretty(), b);
     }
 

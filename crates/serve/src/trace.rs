@@ -1,11 +1,12 @@
 //! Fleet-level request tracing: per-request lifecycle spans in a bounded
 //! ring, exported as a Chrome Trace Event timeline.
 //!
-//! This mirrors the device-level `accel::trace` design one layer up.
-//! The fleet's event loop records self-contained [`SpanEvent`]s — each
-//! carries its complete interval, so begin/end pairs are generated at
-//! export time and always balance, even after the ring drops its oldest
-//! events. Recording is strictly read-only over the simulation (every
+//! This mirrors the device-level `accel::trace` design one layer up and
+//! shares its ring ([`EventRing`]) and overflow warning. The fleet's
+//! event loop records self-contained [`SpanEvent`]s — each carries its
+//! complete interval, so begin/end pairs are generated at export time
+//! and always balance, even after the ring drops its oldest events.
+//! Recording is strictly read-only over the simulation (every
 //! hook runs in the sequential wave-order loop), which is how trace-on
 //! and trace-off runs produce identical `ServeReport` aggregates — the
 //! invariant the span-conservation proptests pin.
@@ -21,6 +22,7 @@
 
 use pudiannao_accel::json::Value;
 use pudiannao_accel::profile::TimelineBuilder;
+use pudiannao_accel::trace::EventRing;
 use pudiannao_memsim::Technique;
 
 use crate::report::ServeReport;
@@ -40,6 +42,12 @@ impl Default for TraceConfig {
 }
 
 impl TraceConfig {
+    /// An empty span ring of this capacity, floored at one event.
+    #[must_use]
+    pub fn ring(&self) -> FleetTrace {
+        FleetTrace::new(self.event_capacity.max(1))
+    }
+
     /// A capacity comfortably covering a `requests`-sized stream (each
     /// admitted request costs a handful of events: its root pair, one
     /// event per leg, and its share of batch/lane events).
@@ -161,71 +169,11 @@ pub enum SpanEvent {
     Crash { shard: usize, at_ns: u64, until_ns: u64 },
 }
 
-/// The bounded span-event ring a traced fleet run fills. Drop-oldest,
-/// like the accel trace ring: a truncated timeline keeps the most recent
-/// events and reports how many it lost.
-#[derive(Clone, Debug)]
-pub struct FleetTrace {
-    capacity: usize,
-    events: Vec<SpanEvent>,
-    ring_start: usize,
-    /// Events evicted from the ring (surfaced in the report and the
-    /// timeline's `otherData`; never silently).
-    pub events_dropped: u64,
-}
-
-impl FleetTrace {
-    #[must_use]
-    pub fn new(config: &TraceConfig) -> FleetTrace {
-        let capacity = config.event_capacity.max(1);
-        FleetTrace {
-            capacity,
-            events: Vec::with_capacity(capacity.min(1 << 12)),
-            ring_start: 0,
-            events_dropped: 0,
-        }
-    }
-
-    /// Records one event, evicting the oldest when full.
-    pub fn push(&mut self, event: SpanEvent) {
-        if self.events.len() < self.capacity {
-            self.events.push(event);
-        } else {
-            self.events[self.ring_start] = event;
-            self.ring_start = (self.ring_start + 1) % self.capacity;
-            self.events_dropped = self.events_dropped.saturating_add(1);
-        }
-    }
-
-    /// Buffered events, oldest first.
-    pub fn events_iter(&self) -> impl Iterator<Item = &SpanEvent> {
-        self.events[self.ring_start..].iter().chain(self.events[..self.ring_start].iter())
-    }
-
-    /// Buffered event count.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-}
-
-/// One-shot stderr warning when a run's span ring dropped events —
-/// mirrors the accel trace-ring warning, deduplicated across however
-/// many traced runs a process performs.
-pub(crate) fn warn_events_dropped(dropped: u64) {
-    static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-    WARN_ONCE.call_once(|| {
-        eprintln!(
-            "warning: fleet span ring overflowed; {dropped} event(s) dropped — the serve \
-             timeline is truncated (raise TraceConfig::event_capacity for a complete one)"
-        );
-    });
-}
+/// The bounded span-event ring a traced fleet run fills: the accel
+/// trace's drop-oldest [`EventRing`], so a truncated timeline keeps the
+/// most recent events, and `events_dropped` (surfaced in the report and
+/// the timeline's `otherData`) says how many it lost.
+pub type FleetTrace = EventRing<SpanEvent>;
 
 /// Exports a traced run as a Chrome Trace Event document (loadable in
 /// `chrome://tracing` or [Perfetto](https://ui.perfetto.dev)): one track
@@ -358,38 +306,17 @@ pub fn fleet_timeline(report: &ServeReport) -> Option<Value> {
     Some(tl.build(other))
 }
 
-/// Builds the fleet timeline, writes it to `path` (pretty-printed, with
-/// a trailing newline), then reads the written file back, re-parses it
-/// and runs [`pudiannao_accel::profile::validate_timeline`] on it — the
-/// counts returned describe the bytes on disk, not an in-memory twin.
-///
-/// Errors if the report carries no trace, the write/read-back fails, or
-/// the written document does not validate.
-pub fn export_timeline(
-    report: &ServeReport,
-    path: &str,
-) -> Result<pudiannao_accel::profile::TimelineCheck, String> {
-    let doc = fleet_timeline(report).ok_or_else(|| "report carries no trace".to_owned())?;
-    std::fs::write(path, doc.to_string_pretty() + "\n")
-        .map_err(|e| format!("writing {path}: {e}"))?;
-    let body = std::fs::read_to_string(path).map_err(|e| format!("reading back {path}: {e}"))?;
-    let parsed =
-        pudiannao_accel::json::parse(&body).map_err(|e| format!("re-parsing {path}: {e:?}"))?;
-    pudiannao_accel::profile::validate_timeline(&parsed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn ring_drops_oldest_and_counts() {
-        let mut ring = FleetTrace::new(&TraceConfig { event_capacity: 3 });
+        let mut ring = TraceConfig { event_capacity: 3 }.ring();
         for id in 0..5u64 {
             ring.push(SpanEvent::RootOpen { id, lane: 0, t: id });
         }
         assert_eq!(ring.events_dropped, 2);
-        assert_eq!(ring.len(), 3);
         let ids: Vec<u64> = ring
             .events_iter()
             .map(|e| match *e {
