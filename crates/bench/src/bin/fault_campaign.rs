@@ -6,24 +6,26 @@
 //! totals. The report is a pure function of the built-in seed:
 //! byte-identical at any `REPRO_THREADS` setting.
 
+use std::path::PathBuf;
+
 use pudiannao_bench::fault_campaign::{run_campaign, CampaignConfig};
 
 fn main() {
     let mut smoke = false;
-    let mut out = String::from("fault_campaign.json");
-    let mut args = std::env::args().skip(1);
+    let mut out = PathBuf::from("fault_campaign.json");
+    let mut args = std::env::args_os().skip(1);
     while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => match args.next() {
-                Some(path) => out = path,
+        match arg.to_str() {
+            Some("--smoke") => smoke = true,
+            Some("--out") => match args.next() {
+                Some(path) => out = path.into(),
                 None => {
                     eprintln!("error: --out needs a path");
                     std::process::exit(2);
                 }
             },
-            other => {
-                eprintln!("error: unknown argument {other:?} (expected --smoke / --out PATH)");
+            _ => {
+                eprintln!("error: unknown argument {arg:?} (expected --smoke / --out PATH)");
                 std::process::exit(2);
             }
         }
@@ -54,5 +56,5 @@ fn main() {
         eprintln!("error: {e}");
         std::process::exit(1);
     }
-    println!("  wrote {out}");
+    println!("  wrote {}", out.display());
 }

@@ -9,24 +9,26 @@
 //! structurally validated before the run reports success. All output is
 //! deterministic: byte-identical at any `REPRO_THREADS` setting.
 
+use std::path::PathBuf;
+
 use pudiannao_accel::profile::{chrome_trace, export_timeline};
 use pudiannao_accel::ArchConfig;
 use pudiannao_bench::{evaluation, profile};
 
 fn main() {
-    let mut dir = String::from(".");
-    let mut args = std::env::args().skip(1);
+    let mut dir = PathBuf::from(".");
+    let mut args = std::env::args_os().skip(1);
     while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out-dir" => match args.next() {
-                Some(path) => dir = path,
+        match arg.to_str() {
+            Some("--out-dir") => match args.next() {
+                Some(path) => dir = path.into(),
                 None => {
                     eprintln!("error: --out-dir needs a path");
                     std::process::exit(2);
                 }
             },
-            other => {
-                eprintln!("error: unknown argument {other:?} (expected --out-dir DIR)");
+            _ => {
+                eprintln!("error: unknown argument {arg:?} (expected --out-dir DIR)");
                 std::process::exit(2);
             }
         }
@@ -37,7 +39,7 @@ fn main() {
     let traced = profile::traced_phase();
     let trace = traced.report.trace.as_ref().expect("traced run carries a trace");
     let doc = chrome_trace(&traced.config, &traced.program, trace, &traced.labels);
-    let timeline_path = std::path::Path::new(&dir).join("trace_timeline.json");
+    let timeline_path = dir.join("trace_timeline.json");
     match export_timeline(&doc, &timeline_path) {
         Ok(check) => println!(
             "[profile] timeline valid: {} spans, {} instants, {} tracks",

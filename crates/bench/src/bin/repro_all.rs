@@ -19,7 +19,7 @@ use pudiannao_serve::pool::{run_indexed, worker_count};
 type Job = Box<dyn FnOnce() -> ExperimentReport + Send>;
 
 fn main() {
-    if let Some(arg) = std::env::args().nth(1) {
+    if let Some(arg) = std::env::args_os().nth(1) {
         eprintln!("error: unexpected argument {arg:?} (usage: repro_all, no arguments)");
         std::process::exit(2);
     }

@@ -8,15 +8,16 @@
 //! always drains the technique with the oldest head-of-line request, so
 //! batching by technique never reorders across more than one queue depth.
 //!
-//! Two resilience extensions ride on top, both inert in the baseline
-//! configuration:
+//! Two resilience extensions ride on top, both inert unless a defence
+//! policy is on:
 //!
-//! - **Priority-aware shedding** (`priority_aware`): when a bound trips,
-//!   instead of dropping the newcomer the queue evicts the *newest,
-//!   lowest-priority* queued primary with priority strictly below the
-//!   newcomer's — under overload the fleet degrades bronze traffic first
-//!   and gold last. Evicted legs are surfaced through
-//!   [`AdmissionQueue::take_evicted`] so the fleet can resolve them.
+//! - **Priority-aware shedding** (set from `Defense::priority_shedding`):
+//!   when a bound trips, instead of dropping the newcomer the queue
+//!   evicts the *newest, lowest-priority* queued primary with priority
+//!   strictly below the newcomer's — under overload the fleet degrades
+//!   bronze traffic first and gold last. Evicted legs are surfaced
+//!   through [`AdmissionQueue::take_evicted`] so the fleet can resolve
+//!   them.
 //! - **Forced legs** ([`AdmissionQueue::offer_leg`]): retry and hedge
 //!   legs re-enter the queue past the bounds (their population is already
 //!   bounded by `max_retries` and one hedge per attempt) and are never
@@ -35,9 +36,6 @@ pub struct AdmissionConfig {
     pub per_technique_cap: usize,
     /// Max queued requests across all techniques.
     pub global_cap: usize,
-    /// Shed lowest-priority-first (evicting queued bronze work for
-    /// incoming gold) instead of always dropping the newcomer.
-    pub priority_aware: bool,
 }
 
 impl AdmissionConfig {
@@ -45,7 +43,7 @@ impl AdmissionConfig {
     /// bursts, not in steady state.
     #[must_use]
     pub fn paper_default() -> Self {
-        AdmissionConfig { per_technique_cap: 48, global_cap: 224, priority_aware: false }
+        AdmissionConfig { per_technique_cap: 48, global_cap: 224 }
     }
 }
 
@@ -72,6 +70,7 @@ pub struct AdmissionCounters {
 /// The bounded queue in front of the shard pool.
 pub struct AdmissionQueue {
     config: AdmissionConfig,
+    priority_aware: bool,
     lanes: [VecDeque<Leg>; Technique::ALL.len()],
     queued: usize,
     /// Forced (retry/hedge) legs queued, total and per lane. Forced legs
@@ -90,10 +89,13 @@ pub struct AdmissionQueue {
 }
 
 impl AdmissionQueue {
+    /// An empty queue with `config`'s bounds; `priority_aware` turns on
+    /// priority-aware shedding (see the module doc).
     #[must_use]
-    pub fn new(config: AdmissionConfig) -> Self {
+    pub fn new(config: AdmissionConfig, priority_aware: bool) -> Self {
         AdmissionQueue {
             config,
+            priority_aware,
             lanes: Default::default(),
             queued: 0,
             forced: 0,
@@ -115,7 +117,7 @@ impl AdmissionQueue {
         let lane_primaries = self.lanes[lane].len().saturating_sub(self.forced_in_lane[lane]);
         let primaries = self.queued.saturating_sub(self.forced);
         if lane_primaries >= self.config.per_technique_cap || primaries >= self.config.global_cap {
-            if self.config.priority_aware && self.evict_below(lane, request) {
+            if self.priority_aware && self.evict_below(lane, request) {
                 self.lanes[lane].push_back(Leg::first(request));
                 self.queued = self.queued.saturating_add(1);
                 self.counters.admitted = self.counters.admitted.saturating_add(1);
@@ -264,11 +266,8 @@ mod tests {
 
     #[test]
     fn caps_shed_and_unknowns_reject() {
-        let mut q = AdmissionQueue::new(AdmissionConfig {
-            per_technique_cap: 2,
-            global_cap: 3,
-            priority_aware: false,
-        });
+        let mut q =
+            AdmissionQueue::new(AdmissionConfig { per_technique_cap: 2, global_cap: 3 }, false);
         assert_eq!(q.offer(req(0, 0, Phase::KnnPrediction)), AdmissionOutcome::Admitted);
         assert_eq!(q.offer(req(1, 1, Phase::KnnPrediction)), AdmissionOutcome::Admitted);
         // Third kNN overflows the technique lane.
@@ -295,7 +294,7 @@ mod tests {
 
     #[test]
     fn batches_are_single_technique_and_oldest_first() {
-        let mut q = AdmissionQueue::new(AdmissionConfig::paper_default());
+        let mut q = AdmissionQueue::new(AdmissionConfig::paper_default(), false);
         q.offer(req(0, 50, Phase::DnnPrediction));
         q.offer(req(1, 10, Phase::SvmTraining));
         q.offer(req(2, 60, Phase::DnnPretraining));
@@ -317,11 +316,8 @@ mod tests {
 
     #[test]
     fn priority_shedding_evicts_newest_lowest_first() {
-        let mut q = AdmissionQueue::new(AdmissionConfig {
-            per_technique_cap: 3,
-            global_cap: 3,
-            priority_aware: true,
-        });
+        let mut q =
+            AdmissionQueue::new(AdmissionConfig { per_technique_cap: 3, global_cap: 3 }, true);
         q.offer(req_p(0, 0, Phase::KnnPrediction, Priority::Bronze));
         q.offer(req_p(1, 1, Phase::KnnPrediction, Priority::Silver));
         q.offer(req_p(2, 2, Phase::KnnPrediction, Priority::Bronze));
@@ -349,11 +345,8 @@ mod tests {
 
     #[test]
     fn global_cap_eviction_crosses_lanes_and_skips_forced_legs() {
-        let mut q = AdmissionQueue::new(AdmissionConfig {
-            per_technique_cap: 8,
-            global_cap: 2,
-            priority_aware: true,
-        });
+        let mut q =
+            AdmissionQueue::new(AdmissionConfig { per_technique_cap: 8, global_cap: 2 }, true);
         q.offer(req_p(0, 0, Phase::KnnPrediction, Priority::Bronze));
         q.offer(req_p(1, 1, Phase::SvmTraining, Priority::Gold));
         // Global cap full; gold into a *different* lane evicts the bronze
@@ -381,11 +374,8 @@ mod tests {
 
     #[test]
     fn forced_legs_do_not_consume_cap_budget() {
-        let mut q = AdmissionQueue::new(AdmissionConfig {
-            per_technique_cap: 2,
-            global_cap: 2,
-            priority_aware: false,
-        });
+        let mut q =
+            AdmissionQueue::new(AdmissionConfig { per_technique_cap: 2, global_cap: 2 }, false);
         q.offer_leg(Leg {
             request: req(7, 0, Phase::KnnPrediction),
             attempt: 1,

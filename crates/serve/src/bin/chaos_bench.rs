@@ -26,6 +26,8 @@
 //! Lines tagged `[trace]` are pinned by `scripts/check.sh
 //! --serve-trace`.
 
+use std::path::PathBuf;
+
 use pudiannao_accel::json::{self, Value};
 use pudiannao_accel::profile::export_timeline;
 use pudiannao_serve::sweep::{chaos_fleet, chaos_sweep, gate_generator, ChaosCell, CHAOS_SEED};
@@ -64,28 +66,28 @@ fn print_cell(cell: &ChaosCell) {
 fn main() {
     let mut smoke = false;
     let mut trace = false;
-    let mut out = String::from("chaos_report.json");
-    let mut trace_out = String::from("serve_timeline.json");
-    let mut args = std::env::args().skip(1);
+    let mut out = PathBuf::from("chaos_report.json");
+    let mut trace_out = PathBuf::from("serve_timeline.json");
+    let mut args = std::env::args_os().skip(1);
     while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--trace" => trace = true,
-            "--out" => {
-                out = args.next().unwrap_or_else(|| {
+        match arg.to_str() {
+            Some("--smoke") => smoke = true,
+            Some("--trace") => trace = true,
+            Some("--out") => {
+                out = args.next().map(PathBuf::from).unwrap_or_else(|| {
                     eprintln!("error: --out needs a path");
                     std::process::exit(2);
                 });
             }
-            "--trace-out" => {
-                trace_out = args.next().unwrap_or_else(|| {
+            Some("--trace-out") => {
+                trace_out = args.next().map(PathBuf::from).unwrap_or_else(|| {
                     eprintln!("error: --trace-out needs a path");
                     std::process::exit(2);
                 });
             }
-            other => {
+            _ => {
                 eprintln!(
-                    "error: unknown argument {other:?} (usage: chaos_bench [--smoke] [--out PATH] \
+                    "error: unknown argument {arg:?} (usage: chaos_bench [--smoke] [--out PATH] \
                      [--trace] [--trace-out PATH])"
                 );
                 std::process::exit(2);
@@ -149,7 +151,7 @@ fn main() {
         eprintln!("error: {e}");
         std::process::exit(1);
     }
-    println!("[chaos] wrote {out}");
+    println!("[chaos] wrote {}", out.display());
 
     // `--trace`: one extra run of the mid-intensity/full-defence cell
     // with spans and windowed metrics on. The sweep above already ran
@@ -180,7 +182,7 @@ fn main() {
             metrics.windows.len(),
             metrics.windowed_p99_max_ns
         );
-        println!("[trace] wrote {trace_out}");
+        println!("[trace] wrote {}", trace_out.display());
     }
 
     if !ok {

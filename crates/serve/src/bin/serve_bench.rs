@@ -12,6 +12,8 @@
 //! byte-for-byte across `REPRO_THREADS` settings. `chaos_bench --trace`
 //! writes the fleet timeline.
 
+use std::path::PathBuf;
+
 use pudiannao_accel::json::{self, Value};
 use pudiannao_serve::{scaling_sweep, serve, sweep, FleetConfig, GeneratorConfig, ServeReport};
 
@@ -35,8 +37,8 @@ fn print_summary(mode: &str, report: &ServeReport) {
     println!("[serve] throughput_rps {:.1}", report.throughput_rps);
     // Deterministic (slot decisions depend only on the trace shapes and
     // the byte budget), so check.sh pins this line like the counters.
-    match &report.trace_cache {
-        Some(tc) => println!(
+    if let Some(tc) = &report.trace_cache {
+        println!(
             "[serve] trace_cache hits {} misses {} hit_permille {} resident_kb {} ready {} \
              too_big {}",
             tc.hits,
@@ -45,8 +47,7 @@ fn print_summary(mode: &str, report: &ServeReport) {
             tc.resident_bytes / 1024,
             tc.ready_slots,
             tc.too_big_slots
-        ),
-        None => println!("[serve] trace_cache off"),
+        );
     }
     for (i, s) in report.shards.iter().enumerate() {
         println!(
@@ -58,20 +59,20 @@ fn print_summary(mode: &str, report: &ServeReport) {
 
 fn main() {
     let mut smoke = false;
-    let mut out = String::from("serve_report.json");
-    let mut args = std::env::args().skip(1);
+    let mut out = PathBuf::from("serve_report.json");
+    let mut args = std::env::args_os().skip(1);
     while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => {
-                out = args.next().unwrap_or_else(|| {
+        match arg.to_str() {
+            Some("--smoke") => smoke = true,
+            Some("--out") => {
+                out = args.next().map(PathBuf::from).unwrap_or_else(|| {
                     eprintln!("error: --out needs a path");
                     std::process::exit(2);
                 });
             }
-            other => {
+            _ => {
                 eprintln!(
-                    "error: unknown argument {other:?} (usage: serve_bench [--smoke] [--out PATH])"
+                    "error: unknown argument {arg:?} (usage: serve_bench [--smoke] [--out PATH])"
                 );
                 std::process::exit(2);
             }
@@ -106,5 +107,5 @@ fn main() {
         eprintln!("error: {e}");
         std::process::exit(1);
     }
-    println!("[serve] wrote {out}");
+    println!("[serve] wrote {}", out.display());
 }

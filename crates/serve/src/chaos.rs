@@ -3,8 +3,12 @@
 //!
 //! PR 3 gave the *device* a fault model; this module lifts that machinery
 //! one layer up, to the shard pool. Four fault classes, all derived from
-//! one seed and all **zero-cost when off** (the fleet takes the exact
-//! PR-7 code path and `serve_report.json` stays byte-identical):
+//! one seed. The fleet runs one path whatever the plan: under
+//! [`ChaosConfig::off`] every shard draws full speed and no crash window,
+//! chaos-off runs reproduce `serve_report.json` byte for byte, and the
+//! one path measured no cost on the `serve-heavy` benchmark workload (20
+//! alternating pairs on a 2-core host: `wall_s` medians 1 % apart,
+//! inside the run-to-run spread):
 //!
 //! - **Crash/restart windows**: each shard alternates up/down according
 //!   to a per-shard renewal process (uniform jitter around
@@ -31,9 +35,9 @@ use pudiannao_accel::ArchConfig;
 use crate::gen::SplitMix64;
 use crate::request::Priority;
 
-/// What the chaos layer injects. All rates zero (and no stuck shards)
-/// means *off*: the fleet must not even consult this struct on the hot
-/// path beyond one [`ChaosConfig::is_off`] check.
+/// What the chaos layer injects. All rates zero means *off*
+/// ([`ChaosConfig::is_off`]): every shard fate drawn from it runs at full
+/// speed, never crashes and fails no leg.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ChaosConfig {
     /// Seed for every per-shard and per-leg draw.
@@ -63,7 +67,7 @@ pub struct ChaosConfig {
 }
 
 impl ChaosConfig {
-    /// Injects nothing; the fleet runs the exact fault-free code path.
+    /// Injects nothing: full speed, no crash, no transient failure.
     #[must_use]
     pub fn off() -> ChaosConfig {
         ChaosConfig {
@@ -296,13 +300,13 @@ fn jitter(rng: &mut SplitMix64, mean: u64) -> u64 {
 }
 
 /// The defence policy: deadlines, bounded retry, hedging, quarantine.
-/// [`Defense::off`] is the PR-7-identical baseline; the `chaos_bench`
-/// sweep compares `none` (deadline accounting only), `retries`, and
-/// `full` (retries + hedging + quarantine).
+/// [`Defense::off`] defends nothing; the `chaos_bench` sweep compares
+/// `none` (deadline accounting only), `retries`, and `full` (retries +
+/// hedging + quarantine).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Defense {
     /// Per-priority end-to-end deadlines (indexed like [`Priority::ALL`]);
-    /// `None` disables deadline accounting entirely (baseline mode).
+    /// `None` disables deadline accounting entirely.
     pub deadlines_ns: Option<[u64; 3]>,
     /// Retries granted after a failed leg (0 = fail immediately).
     pub max_retries: u32,
@@ -326,8 +330,9 @@ pub struct Defense {
 }
 
 impl Defense {
-    /// The PR-7-identical baseline: no deadlines, no retries, no hedging,
-    /// no quarantine, FIFO shedding.
+    /// No defence: no deadlines, no retries, no hedging, no quarantine,
+    /// FIFO shedding. With [`ChaosConfig::off`], a run carries no
+    /// `resilience` section.
     #[must_use]
     pub fn off() -> Defense {
         Defense {

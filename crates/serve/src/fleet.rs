@@ -20,11 +20,15 @@
 //!
 //! ## Resilience
 //!
-//! [`run_fleet_resilient`] layers the chaos/defence machinery on top
-//! without touching the baseline path: with [`ChaosConfig::off`] and
-//! [`Defense::off`] the loop takes byte-for-byte the same decisions as
-//! [`run_fleet`]. Otherwise every dispatch attempt is a [`Leg`] tracked by
-//! a per-request `Flight`:
+//! Every run takes one path: every dispatch attempt is a [`Leg`] tracked
+//! by a per-request `Flight`, and every shard carries a [`ShardChaos`]
+//! fate. [`ChaosConfig::off`] draws full speed and no crash, and
+//! [`Defense::off`] sets no deadline, retry, hedge or quarantine, so under
+//! both each request completes on its first leg. Such runs reproduce
+//! `serve_report.json` byte for byte, carry no `resilience` section, and
+//! measured no cost from the lifecycle on the `serve-heavy` benchmark
+//! workload (20 alternating pairs on a 2-core host: `wall_s` medians 1 %
+//! apart, inside the run-to-run spread). With chaos or a defence on:
 //!
 //! - legs that draw a transient fault or are killed by a shard crash come
 //!   back failed; bounded **retries** with exponential backoff (in
@@ -43,7 +47,7 @@
 //! partition the offered load (the conservation invariant the proptests
 //! pin down).
 
-use pudiannao_memsim::{batch, AccessBlock, BatchSink, CacheConfig, SimdEngine, Technique};
+use pudiannao_memsim::{batch, AccessBlock, CacheConfig, SimdEngine, Technique};
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -84,9 +88,9 @@ pub struct FleetConfig {
     pub max_batch: usize,
     /// Admission-queue bounds.
     pub admission: AdmissionConfig,
-    /// Per-shard trace-template arena budget in bytes; 0 disables the
-    /// cache (every leg regenerates its trace). Replay is
-    /// counter-identical to fresh generation, so this knob only moves
+    /// Per-shard trace-template arena budget in bytes; a zero budget
+    /// keeps no template, so every leg generates its trace fresh. Replay
+    /// is counter-identical to fresh generation, so this knob only moves
     /// wall-clock and memory — never a report byte.
     pub trace_cache_bytes: usize,
 }
@@ -112,9 +116,9 @@ impl FleetConfig {
 
 /// Observability configuration for one fleet run: which of the two layers
 /// (per-request span tracing, windowed metrics) to record. Both default
-/// off, and [`run_fleet_resilient`] always passes [`ObserveConfig::off`]
-/// — unobserved runs never build an observer, so their reports stay
-/// byte-identical to the pre-observability schema.
+/// off, and [`run_fleet`] and [`serve`] always pass [`ObserveConfig::off`]
+/// — unobserved runs never build an observer, so their reports carry no
+/// `observability` section.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ObserveConfig {
     /// Record per-request lifecycle spans into a bounded ring.
@@ -124,7 +128,7 @@ pub struct ObserveConfig {
 }
 
 impl ObserveConfig {
-    /// No observation — the baseline code path.
+    /// No observation: no observer is built.
     #[must_use]
     pub fn off() -> Self {
         ObserveConfig::default()
@@ -162,7 +166,6 @@ enum LegFate {
 #[derive(Clone, Copy, Debug)]
 struct LegResult {
     leg: Leg,
-    phase: pudiannao_codegen::phases::Phase,
     fate: LegFate,
     /// When this leg's kernel started on the shard (after the batch's
     /// reconfig+setup and its batch-mates ahead of it) — the left edge of
@@ -194,14 +197,14 @@ struct BatchFacts {
 }
 
 /// One simulated device: a reusable engine (plus its batching scratch
-/// buffer), utilisation counters, and — under chaos — its drawn fate and
-/// health-tracking state.
+/// buffer), its trace-template cache, utilisation counters, its drawn
+/// chaos fate and health-tracking state.
 struct Shard {
     engine: SimdEngine,
     /// SoA scratch for the batched trace path, reused across requests.
     block: AccessBlock,
-    /// Recorded trace templates; `None` when `trace_cache_bytes` is 0.
-    trace_cache: Option<TraceCache>,
+    /// Recorded trace templates (none under a zero budget).
+    trace_cache: TraceCache,
     last_technique: Option<Technique>,
     free_at_ns: u64,
     batches: u64,
@@ -210,8 +213,9 @@ struct Shard {
     busy_ns: u64,
     ops: u64,
     offchip_bytes: u64,
-    /// Chaos fate of this shard; `None` on the fault-free path.
-    chaos: Option<ShardChaos>,
+    /// Chaos fate of this shard: full speed and never down under
+    /// [`ChaosConfig::off`].
+    chaos: ShardChaos,
     /// Consecutive failed legs, for the quarantine trigger.
     fail_streak: u32,
     /// Until when the health tracker has pulled this shard from rotation.
@@ -221,11 +225,11 @@ struct Shard {
 }
 
 impl Shard {
-    fn new(cache: &CacheConfig, chaos: Option<ShardChaos>, trace_cache_bytes: usize) -> Shard {
+    fn new(cache: &CacheConfig, chaos: ShardChaos, trace_cache_bytes: usize) -> Shard {
         Shard {
             engine: SimdEngine::new(cache.clone()).expect("paper cache config is valid"),
             block: AccessBlock::with_capacity(cache.line_bytes, batch::FLUSH_ACCESSES + 32),
-            trace_cache: (trace_cache_bytes > 0).then(|| TraceCache::new(trace_cache_bytes)),
+            trace_cache: TraceCache::new(trace_cache_bytes),
             last_technique: None,
             free_at_ns: 0,
             batches: 0,
@@ -271,7 +275,7 @@ impl Shard {
         t = t.saturating_add(BATCH_SETUP_NS);
         let exec_start_ns = t;
         self.engine.reset();
-        let slowdown = self.chaos.as_ref().map_or(1000, |c| c.slowdown_permille);
+        let slowdown = self.chaos.slowdown_permille;
         let mut out = Vec::with_capacity(legs.len());
         let mut prev_cycles = 0u64;
         for leg in legs {
@@ -286,25 +290,17 @@ impl Shard {
             // With the template cache, a previously seen (phase, tier)
             // replays its recorded block instead of regenerating it;
             // same equivalence, minus the whole generation pass.
-            match &mut self.trace_cache {
-                Some(cache) => cache.execute(
-                    catalog,
-                    phase,
-                    leg.request.tier,
-                    &mut self.engine,
-                    &mut self.block,
-                ),
-                None => {
-                    let mut sink = BatchSink::new(&mut self.engine, &mut self.block);
-                    catalog.get(phase, leg.request.tier).trace(&mut sink);
-                    sink.finish();
-                }
-            }
+            self.trace_cache.execute(
+                catalog,
+                phase,
+                leg.request.tier,
+                &mut self.engine,
+                &mut self.block,
+            );
             let cycles = self.engine.report().cycles;
             let done_ns = t.saturating_add(scale_ns(cycles, slowdown));
             out.push(LegResult {
                 leg: *leg,
-                phase,
                 fate: LegFate::Done(done_ns),
                 start_ns: t.saturating_add(scale_ns(prev_cycles, slowdown)),
                 service_ns: scale_ns(cycles.saturating_sub(prev_cycles), slowdown),
@@ -315,42 +311,41 @@ impl Shard {
         let mut end_ns = t.saturating_add(scale_ns(stats.cycles, slowdown));
         let mut busy_until = end_ns;
         let mut crash = None;
-        if let Some(chaos) = &mut self.chaos {
-            // Transient failures first: a pure per-leg hash, so the
-            // verdict is the same whichever shard or wave runs the leg.
-            if chaos.plan().transient_per_mille > 0 {
-                for r in &mut out {
-                    if chaos.plan().leg_fails(r.leg.request.id, r.leg.attempt, r.leg.hedge) {
-                        let LegFate::Done(d) = r.fate else { unreachable!() };
-                        r.fate = LegFate::Transient(d);
-                    }
+        // Transient failures first: a pure per-leg hash, so the verdict
+        // is the same whichever shard or wave runs the leg.
+        let plan = self.chaos.plan();
+        if plan.transient_per_mille > 0 {
+            for r in &mut out {
+                if plan.leg_fails(r.leg.request.id, r.leg.attempt, r.leg.hedge) {
+                    let LegFate::Done(d) = r.fate else { unreachable!() };
+                    r.fate = LegFate::Transient(d);
                 }
             }
-            // Then the crash window, which overrides: every leg that had
-            // not completed when the shard went down is lost, and the
-            // shard stays down (and loses its datapath configuration)
-            // until the window closes.
-            if let Some((crash_ns, repair_ns)) = chaos.crash_in(start_ns, end_ns) {
-                for r in &mut out {
-                    let at = match r.fate {
-                        LegFate::Done(d) | LegFate::Transient(d) => d,
-                        LegFate::Crashed(_) => continue,
-                    };
-                    if at > crash_ns {
-                        r.fate = LegFate::Crashed(crash_ns);
-                    }
+        }
+        // Then the crash window, which overrides: every leg that had not
+        // completed when the shard went down is lost, and the shard stays
+        // down (and loses its datapath configuration) until the window
+        // closes.
+        if let Some((crash_ns, repair_ns)) = self.chaos.crash_in(start_ns, end_ns) {
+            for r in &mut out {
+                let at = match r.fate {
+                    LegFate::Done(d) | LegFate::Transient(d) => d,
+                    LegFate::Crashed(_) => continue,
+                };
+                if at > crash_ns {
+                    r.fate = LegFate::Crashed(crash_ns);
                 }
-                self.last_technique = None;
-                busy_until = crash_ns.max(start_ns);
-                end_ns = repair_ns;
-                crash = Some((crash_ns, repair_ns));
             }
+            self.last_technique = None;
+            busy_until = crash_ns.max(start_ns);
+            end_ns = repair_ns;
+            crash = Some((crash_ns, repair_ns));
         }
         // Health streak, at batch granularity: a batch that lost *every*
         // leg extends the streak, any success resets it. (Per-leg
         // counting would count one crash as a dozen strikes and
-        // quarantine a shard that already self-healed.) Always zero on
-        // the fault-free path.
+        // quarantine a shard that already self-healed.) Always zero with
+        // chaos off.
         let any_ok = out.iter().any(|r| matches!(r.fate, LegFate::Done(_)));
         if any_ok {
             self.fail_streak = 0;
@@ -375,8 +370,8 @@ impl Shard {
     }
 }
 
-/// Service time under the shard's slowdown draw; exact on the fault-free
-/// path (1000 per-mille multiplies by one).
+/// Service time under the shard's slowdown draw; exact at full speed
+/// (1000 per-mille multiplies by one).
 fn scale_ns(cycles: u64, slowdown_permille: u64) -> u64 {
     if slowdown_permille == 1000 {
         cycles
@@ -617,10 +612,8 @@ impl Observer {
         }
         if self.trace.is_some() {
             for (i, shard) in shards.iter_mut().enumerate() {
-                if let Some(chaos) = &mut shard.chaos {
-                    for (at_ns, until_ns) in chaos.windows_up_to(makespan_ns) {
-                        self.push(SpanEvent::Crash { shard: i, at_ns, until_ns });
-                    }
+                for (at_ns, until_ns) in shard.chaos.windows_up_to(makespan_ns) {
+                    self.push(SpanEvent::Crash { shard: i, at_ns, until_ns });
                 }
             }
         }
@@ -682,10 +675,10 @@ impl Ord for ReadyLeg {
     }
 }
 
-/// All request-lifecycle state of a resilient run: flights, the ready
-/// heap for delayed legs, resolved completions and the resilience
-/// tallies. Processed strictly sequentially (in wave order), so every
-/// decision is independent of the worker count.
+/// All request-lifecycle state of a run: flights, the ready heap for
+/// delayed legs, resolved completions and the resilience tallies.
+/// Processed strictly sequentially (in wave order), so every decision is
+/// independent of the worker count.
 struct Lifecycle {
     defense: Defense,
     flights: BTreeMap<u64, Flight>,
@@ -960,9 +953,9 @@ impl Lifecycle {
 }
 
 /// Runs the full open-loop stream through a fleet and reports what
-/// happened. `requests` must be sorted by `arrival_ns` (the generator
-/// produces them that way). Fault-free, defence-free — the baseline every
-/// byte-identity check pins.
+/// happened: [`run_fleet_observed`] with chaos, defences and observation
+/// off. `requests` must be sorted by `arrival_ns` (the generator produces
+/// them that way).
 #[must_use]
 pub fn run_fleet(
     config: &FleetConfig,
@@ -970,32 +963,19 @@ pub fn run_fleet(
     catalog: &ServingCatalog,
     requests: &[Request],
 ) -> ServeReport {
-    run_fleet_resilient(config, cache, catalog, requests, &ChaosConfig::off(), &Defense::off())
+    let (chaos, defense, observe) = (ChaosConfig::off(), Defense::off(), ObserveConfig::off());
+    run_fleet_observed(config, cache, catalog, requests, &chaos, &defense, &observe)
 }
 
-/// [`run_fleet`] with chaos injection and a defence policy. With both
-/// off this *is* the baseline (the lifecycle layer is never built and the
-/// report carries no resilience section); otherwise every request is
-/// tracked through retries, hedges, deadlines and quarantine to exactly
-/// one resolution.
-#[must_use]
-pub fn run_fleet_resilient(
-    config: &FleetConfig,
-    cache: &CacheConfig,
-    catalog: &ServingCatalog,
-    requests: &[Request],
-    chaos: &ChaosConfig,
-    defense: &Defense,
-) -> ServeReport {
-    run_fleet_observed(config, cache, catalog, requests, chaos, defense, &ObserveConfig::off())
-}
-
-/// [`run_fleet_resilient`] with the observability layer: span tracing
-/// and/or windowed metrics riding along. The observer is strictly
-/// read-only over the simulation — whether it records or not, the loop
-/// takes the same decisions, so an observed report's aggregates are
-/// byte-identical to the unobserved run's (only the additive
-/// `observability` section and the in-memory span ring differ).
+/// Runs the stream under a chaos plan and defence policy, with the
+/// observability layer riding along. Every request is tracked through
+/// retries, hedges, deadlines and quarantine to exactly one resolution;
+/// the report carries a `resilience` section only when chaos or a
+/// defence is on. The observer is strictly read-only over the simulation
+/// — whether it records or not, the loop takes the same decisions, so an
+/// observed report's aggregates are byte-identical to the unobserved
+/// run's (only the additive `observability` section and the in-memory
+/// span ring differ).
 #[must_use]
 pub fn run_fleet_observed(
     config: &FleetConfig,
@@ -1012,22 +992,12 @@ pub fn run_fleet_observed(
         "request stream must be sorted by arrival"
     );
 
-    let admission_config = AdmissionConfig {
-        priority_aware: config.admission.priority_aware || defense.priority_shedding,
-        ..config.admission
-    };
-    let resilient =
-        !(chaos.is_off() && *defense == Defense::off() && !admission_config.priority_aware);
-
+    let resilient = !(chaos.is_off() && *defense == Defense::off());
     let mut shards: Vec<Shard> = (0..config.shards)
-        .map(|i| {
-            let fate = if chaos.is_off() { None } else { Some(ShardChaos::new(chaos, i)) };
-            Shard::new(cache, fate, config.trace_cache_bytes)
-        })
+        .map(|i| Shard::new(cache, ShardChaos::new(chaos, i), config.trace_cache_bytes))
         .collect();
-    let mut admission = AdmissionQueue::new(admission_config);
-    let mut baseline_completions: Vec<Completion> = Vec::with_capacity(requests.len());
-    let mut lc = resilient.then(|| Lifecycle::new(*defense, requests.len()));
+    let mut admission = AdmissionQueue::new(config.admission, defense.priority_shedding);
+    let mut lc = Lifecycle::new(*defense, requests.len());
     let mut obs = (!observe.is_off()).then(|| Observer::new(observe, config.shards));
 
     let mut now = 0u64;
@@ -1041,22 +1011,18 @@ pub fn run_fleet_observed(
             if let Some(o) = &mut obs {
                 o.on_offered(&request, outcome);
             }
-            if let Some(lc) = &mut lc {
-                lc.on_offered(&request, outcome);
-                for evicted in admission.take_evicted() {
-                    if let Some(o) = &mut obs {
-                        o.on_evicted(&evicted, now);
-                    }
-                    lc.on_evicted(&evicted);
+            lc.on_offered(&request, outcome);
+            for evicted in admission.take_evicted() {
+                if let Some(o) = &mut obs {
+                    o.on_evicted(&evicted, now);
                 }
+                lc.on_evicted(&evicted);
             }
             next_arrival += 1;
         }
-        if let Some(lc) = &mut lc {
-            while lc.ready.peek().is_some_and(|Reverse(r)| r.ready_ns <= now) {
-                let Reverse(r) = lc.ready.pop().expect("peeked");
-                admission.offer_leg(r.leg);
-            }
+        while lc.ready.peek().is_some_and(|Reverse(r)| r.ready_ns <= now) {
+            let Reverse(r) = lc.ready.pop().expect("peeked");
+            admission.offer_leg(r.leg);
         }
         if let Some(o) = &mut obs {
             o.note_queues(&admission.lane_depths(), now);
@@ -1071,25 +1037,16 @@ pub fn run_fleet_observed(
             if !queue_open || shard.free_at_ns > now {
                 continue;
             }
-            if shard.quarantined_until_ns > now {
+            if shard.quarantined_until_ns > now || shard.chaos.available_from(now) > now {
                 continue;
             }
-            if let Some(chaos) = &mut shard.chaos {
-                if chaos.available_from(now) > now {
-                    continue;
-                }
-            }
             let picked = loop {
-                let Some((technique, batch)) = admission.pick_batch(config.max_batch) else {
+                let Some((technique, mut batch)) = admission.pick_batch(config.max_batch) else {
                     break None;
                 };
-                let Some(lc) = &mut lc else {
+                batch.retain(|leg| !lc.drop_at_pick(leg, now, &mut obs));
+                if !batch.is_empty() {
                     break Some((technique, batch));
-                };
-                let live: Vec<Leg> =
-                    batch.into_iter().filter(|leg| !lc.drop_at_pick(leg, now, &mut obs)).collect();
-                if !live.is_empty() {
-                    break Some((technique, live));
                 }
             };
             match picked {
@@ -1116,41 +1073,15 @@ pub fn run_fleet_observed(
             if let Some(o) = &mut obs {
                 o.on_batch(idx, &facts, &batch_results);
             }
-            match &mut lc {
-                None => {
-                    for r in batch_results {
-                        let LegFate::Done(completed_ns) = r.fate else {
-                            unreachable!("faults require chaos, which is off on this path");
-                        };
-                        if let Some(o) = &mut obs {
-                            o.on_completed(
-                                &r.leg.request,
-                                RootOutcome::Completed,
-                                completed_ns,
-                                completed_ns,
-                                breakdown_of(&r.leg, &facts, completed_ns),
-                            );
-                        }
-                        baseline_completions.push(Completion {
-                            request: r.leg.request,
-                            phase: r.phase,
-                            dispatched_ns: start,
-                            completed_ns,
-                        });
-                    }
-                }
-                Some(lc) => {
-                    for r in batch_results {
-                        lc.on_leg_result(&r, &facts, &mut obs);
-                    }
-                }
+            for r in batch_results {
+                lc.on_leg_result(&r, &facts, &mut obs);
             }
         }
 
         // 3b. Health tracking: a shard that just crossed the
         //     consecutive-failure threshold is pulled from rotation until
         //     its cooldown ends (sequential, in shard order).
-        if resilient && defense.quarantine_after > 0 {
+        if defense.quarantine_after > 0 {
             for (idx, shard) in shards.iter_mut().enumerate() {
                 if shard.fail_streak >= defense.quarantine_after {
                     let from = now.max(shard.free_at_ns);
@@ -1178,10 +1109,8 @@ pub fn run_fleet_observed(
         let fold = |next_event: &mut Option<u64>, t: u64| {
             *next_event = Some(next_event.map_or(t, |n| n.min(t)));
         };
-        if let Some(lc) = &lc {
-            if let Some(Reverse(r)) = lc.ready.peek() {
-                fold(&mut next_event, r.ready_ns);
-            }
+        if let Some(Reverse(r)) = lc.ready.peek() {
+            fold(&mut next_event, r.ready_ns);
         }
         for shard in &mut shards {
             if shard.free_at_ns > now {
@@ -1190,11 +1119,9 @@ pub fn run_fleet_observed(
             if shard.quarantined_until_ns > now {
                 fold(&mut next_event, shard.quarantined_until_ns);
             }
-            if let Some(chaos) = &mut shard.chaos {
-                let up_at = chaos.available_from(now);
-                if up_at > now {
-                    fold(&mut next_event, up_at);
-                }
+            let up_at = shard.chaos.available_from(now);
+            if up_at > now {
+                fold(&mut next_event, up_at);
             }
         }
         match next_event {
@@ -1206,38 +1133,28 @@ pub fn run_fleet_observed(
         }
     }
 
-    let (completions, resilience) = match lc {
-        None => (baseline_completions, None),
-        Some(lc) => {
-            debug_assert!(lc.flights.is_empty(), "every flight must resolve");
-            let makespan_ns = lc.completions.iter().map(|c| c.completed_ns).max().unwrap_or(0);
-            let mut rep = lc.rep;
-            rep.shards = shards
-                .iter_mut()
-                .map(|s| {
-                    let (crashes, crash_down_ns) = match &mut s.chaos {
-                        Some(c) => c.windows_within(makespan_ns),
-                        None => (0, 0),
-                    };
-                    ShardResilience {
-                        crashes,
-                        quarantines: s.quarantines,
-                        down_ns: crash_down_ns.saturating_add(s.quarantine_down_ns),
-                        availability_permille: 0, // filled in by assemble
-                        slowdown_permille: s.chaos.as_ref().map_or(1000, |c| c.slowdown_permille),
-                        lanes_left: s.chaos.as_ref().map_or_else(
-                            || pudiannao_accel::ArchConfig::paper_default().lanes,
-                            |c| c.lanes_left,
-                        ),
-                    }
-                })
-                .collect();
-            (lc.completions, Some(rep))
-        }
-    };
+    debug_assert!(lc.flights.is_empty(), "every flight must resolve");
+    let completions = lc.completions;
+    let makespan_ns = completions.iter().map(|c| c.completed_ns).max().unwrap_or(0);
+    let resilience = resilient.then(|| ResilienceReport {
+        shards: shards
+            .iter_mut()
+            .map(|s| {
+                let (crashes, crash_down_ns) = s.chaos.windows_within(makespan_ns);
+                ShardResilience {
+                    crashes,
+                    quarantines: s.quarantines,
+                    down_ns: crash_down_ns.saturating_add(s.quarantine_down_ns),
+                    availability_permille: 0, // filled in by assemble
+                    slowdown_permille: s.chaos.slowdown_permille,
+                    lanes_left: s.chaos.lanes_left,
+                }
+            })
+            .collect(),
+        ..lc.rep
+    });
 
     if let Some(o) = &mut obs {
-        let makespan_ns = completions.iter().map(|c| c.completed_ns).max().unwrap_or(0);
         o.seal(&mut shards, makespan_ns);
     }
 
@@ -1266,37 +1183,21 @@ pub fn run_fleet_observed(
     // In-memory only, like the trace handle: the summed per-shard
     // template-cache counters never reach the report JSON, so pinned
     // reports stay byte-identical whatever the cache budget.
-    report.trace_cache = shards
-        .iter()
-        .filter_map(|s| s.trace_cache.as_ref())
-        .map(TraceCache::stats)
-        .reduce(TraceCacheStats::merged);
+    report.trace_cache =
+        shards.iter().map(|s| s.trace_cache.stats()).reduce(TraceCacheStats::merged);
     report
 }
 
 /// Convenience entry point: generate the stream, build the default
-/// catalog, run the fleet.
+/// catalog, run the fleet with chaos, defences and observation off.
 #[must_use]
 pub fn serve(config: &FleetConfig, gen_config: &crate::gen::GeneratorConfig) -> ServeReport {
-    let catalog = ServingCatalog::paper_default();
-    let requests = crate::gen::generate(gen_config);
-    run_fleet(config, &CacheConfig::paper_default(), &catalog, &requests)
+    serve_observed(config, gen_config, &ChaosConfig::off(), &Defense::off(), &ObserveConfig::off())
 }
 
-/// [`serve`] under a chaos plan and defence policy.
-#[must_use]
-pub fn serve_resilient(
-    config: &FleetConfig,
-    gen_config: &crate::gen::GeneratorConfig,
-    chaos: &ChaosConfig,
-    defense: &Defense,
-) -> ServeReport {
-    let catalog = ServingCatalog::paper_default();
-    let requests = crate::gen::generate(gen_config);
-    run_fleet_resilient(config, &CacheConfig::paper_default(), &catalog, &requests, chaos, defense)
-}
-
-/// [`serve_resilient`] with the observability layer riding along.
+/// [`serve`] under a chaos plan and defence policy, with the
+/// observability layer riding along: [`run_fleet_observed`] on a
+/// generated stream and the default catalog.
 #[must_use]
 pub fn serve_observed(
     config: &FleetConfig,
@@ -1334,7 +1235,7 @@ mod tests {
         );
         assert_eq!(report.completed, report.counters.admitted);
         assert!(report.latencies_sorted_ns.iter().all(|&l| l > 0));
-        assert!(report.resilience.is_none(), "baseline runs carry no resilience section");
+        assert!(report.resilience.is_none(), "chaos-off runs carry no resilience section");
     }
 
     #[test]
@@ -1375,8 +1276,8 @@ mod tests {
     fn resilient_run_conserves_requests() {
         let gen = GeneratorConfig { requests: 1_500, ..GeneratorConfig::smoke(5) };
         let chaos = ChaosConfig::intensity(17, 1);
-        let report =
-            serve_resilient(&FleetConfig::paper_default(), &gen, &chaos, &Defense::full(140_000));
+        let (fleet, off) = (FleetConfig::paper_default(), ObserveConfig::off());
+        let report = serve_observed(&fleet, &gen, &chaos, &Defense::full(140_000), &off);
         let res = report.resilience.expect("chaos runs carry the resilience section");
         assert_eq!(res.outcomes.total(), report.counters.offered, "{:?}", res.outcomes);
         assert_eq!(res.outcomes.completed_total(), report.completed);
@@ -1395,18 +1296,13 @@ mod tests {
             degraded_per_mille: 0,
             ..ChaosConfig::intensity(29, 1)
         };
-        let undefended =
-            serve_resilient(&FleetConfig::paper_default(), &gen, &chaos, &Defense::none(140_000));
+        let (fleet, off) = (FleetConfig::paper_default(), ObserveConfig::off());
+        let undefended = serve_observed(&fleet, &gen, &chaos, &Defense::none(140_000), &off);
         let res = undefended.resilience.expect("resilience section");
         assert!(res.outcomes.failed > 0, "{:?}", res.outcomes);
         assert_eq!(res.outcomes.total(), undefended.counters.offered);
         // Retries recover most of them.
-        let defended = serve_resilient(
-            &FleetConfig::paper_default(),
-            &gen,
-            &chaos,
-            &Defense::retries(140_000),
-        );
+        let defended = serve_observed(&fleet, &gen, &chaos, &Defense::retries(140_000), &off);
         let dres = defended.resilience.expect("resilience section");
         assert!(dres.outcomes.retried_ok > 0);
         assert!(dres.outcomes.failed < res.outcomes.failed, "{dres:?}");
@@ -1417,14 +1313,9 @@ mod tests {
         let gen = GeneratorConfig { requests: 800, ..GeneratorConfig::smoke(7) };
         let chaos = ChaosConfig::intensity(11, 1);
         let defense = Defense::full(140_000);
-        let plain = serve_resilient(&FleetConfig::paper_default(), &gen, &chaos, &defense);
-        let observed = serve_observed(
-            &FleetConfig::paper_default(),
-            &gen,
-            &chaos,
-            &defense,
-            &ObserveConfig::full(800),
-        );
+        let fleet = FleetConfig::paper_default();
+        let plain = serve_observed(&fleet, &gen, &chaos, &defense, &ObserveConfig::off());
+        let observed = serve_observed(&fleet, &gen, &chaos, &defense, &ObserveConfig::full(800));
         // Stripping the additive section must recover the unobserved
         // report byte-for-byte: observation cannot perturb the run.
         let mut stripped = observed.clone();
@@ -1460,7 +1351,7 @@ mod tests {
             &Defense::off(),
             &ObserveConfig { trace: Some(TraceConfig::sized_for(400)), metrics: None },
         );
-        assert!(report.resilience.is_none(), "observation must not force the resilient path");
+        assert!(report.resilience.is_none(), "observation must not add a resilience section");
         let timeline = crate::trace::fleet_timeline(&report).expect("trace was on");
         let check =
             pudiannao_accel::profile::validate_timeline(&timeline).expect("well-formed timeline");
@@ -1484,12 +1375,8 @@ mod tests {
             degraded_per_mille: 0,
             ..ChaosConfig::intensity(3, 2)
         };
-        let report = serve_resilient(
-            &FleetConfig::paper_default(),
-            &gen,
-            &chaos,
-            &Defense::retries(140_000),
-        );
+        let (fleet, off) = (FleetConfig::paper_default(), ObserveConfig::off());
+        let report = serve_observed(&fleet, &gen, &chaos, &Defense::retries(140_000), &off);
         let res = report.resilience.expect("resilience section");
         assert!(res.crash_killed > 0, "crashes this frequent must catch batches");
         assert!(res.shards.iter().any(|s| s.crashes > 0));

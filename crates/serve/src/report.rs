@@ -413,9 +413,11 @@ pub struct ServeReport {
     /// [`fleet_timeline`](crate::trace::fleet_timeline). Never
     /// serialised into the report JSON.
     pub trace: Option<crate::trace::FleetTrace>,
-    /// Summed per-shard trace-template-cache counters, `None` when the
-    /// cache is disabled. Never serialised into the report JSON — the
-    /// cache only moves wall-clock and memory, never a report byte.
+    /// Summed per-shard trace-template-cache counters: `Some` on every
+    /// fleet run (a zero budget shows no hit and no ready slot), `None`
+    /// only before the fleet attaches them to an assembled report. Never
+    /// serialised into the report JSON — the cache only moves wall-clock
+    /// and memory, never a report byte.
     pub trace_cache: Option<crate::catalog::TraceCacheStats>,
 }
 

@@ -5,7 +5,7 @@
 use pudiannao_accel::json::Value;
 
 use crate::chaos::{ChaosConfig, Defense};
-use crate::fleet::{serve, serve_resilient, FleetConfig};
+use crate::fleet::{serve, serve_observed, FleetConfig, ObserveConfig};
 use crate::gen::GeneratorConfig;
 use crate::report::ServeReport;
 
@@ -128,7 +128,7 @@ pub fn chaos_sweep(gen: &GeneratorConfig, baseline_p99_ns: u64) -> Vec<ChaosCell
         let chaos = ChaosConfig::intensity(CHAOS_SEED, intensity);
         for arm in DEFENSE_ARMS {
             let defense = defense_arm(arm, baseline_p99_ns);
-            let report = serve_resilient(&fleet, gen, &chaos, &defense);
+            let report = serve_observed(&fleet, gen, &chaos, &defense, &ObserveConfig::off());
             cells.push(ChaosCell { intensity, defense: arm, report });
         }
     }

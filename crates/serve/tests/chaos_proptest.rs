@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use pudiannao_serve::{
-    serve_resilient, ChaosConfig, Defense, FleetConfig, GeneratorConfig, Priority,
+    serve_observed, ChaosConfig, Defense, FleetConfig, GeneratorConfig, ObserveConfig, Priority,
 };
 
 proptest! {
@@ -78,11 +78,13 @@ proptest! {
             priority_shedding,
         };
         let config = FleetConfig::with_shards(shards);
-        let report = serve_resilient(&config, &gen, &chaos, &defense);
+        let report = serve_observed(&config, &gen, &chaos, &defense, &ObserveConfig::off());
 
         prop_assert_eq!(report.counters.offered, requests);
         match &report.resilience {
             Some(res) => {
+                // Chaos or a defence is on.
+                prop_assert!(!(chaos.is_off() && defense == Defense::off()));
                 // Conservation: offered == completed + timed_out + failed
                 //             + shed + rejected, with completions split
                 //             into clean / retried / hedge-won.
@@ -103,15 +105,16 @@ proptest! {
                 }
             }
             None => {
-                // Chaos off + defences off is the PR-7 baseline path.
-                prop_assert!(chaos.is_off());
+                // Only a run with chaos and every defence off omits the
+                // section.
+                prop_assert!(chaos.is_off() && defense == Defense::off());
                 prop_assert_eq!(report.completed, report.counters.admitted);
             }
         }
 
         // Reruns are bit-identical: every chaos draw is per-shard state
         // or a pure hash, never wall-clock or scheduling order.
-        let again = serve_resilient(&config, &gen, &chaos, &defense);
+        let again = serve_observed(&config, &gen, &chaos, &defense, &ObserveConfig::off());
         prop_assert_eq!(report.counters, again.counters);
         prop_assert_eq!(report.completed, again.completed);
         prop_assert_eq!(report.makespan_ns, again.makespan_ns);
@@ -128,13 +131,14 @@ proptest! {
     ) {
         let gen = GeneratorConfig { seed, requests, ..GeneratorConfig::smoke(0) };
         let defense = Defense { deadlines_ns: Some([0, 0, 0]), ..Defense::off() };
-        let report = serve_resilient(
+        let report = serve_observed(
             &FleetConfig::with_shards(2),
             &gen,
             &ChaosConfig::off(),
             &defense,
+            &ObserveConfig::off(),
         );
-        let res = report.resilience.expect("deadline accounting forces the resilient path");
+        let res = report.resilience.expect("deadline accounting adds the resilience section");
         prop_assert_eq!(res.outcomes.total(), requests);
         // Whatever was admitted either timed out at pick or raced a
         // same-instant dispatch; nothing may be silently dropped.

@@ -5,7 +5,9 @@
 //! these are exact regression tests, not flaky statistical ones.
 
 use pudiannao_serve::sweep::{chaos_fleet, chaos_sweep, gate_generator, CHAOS_SEED};
-use pudiannao_serve::{serve, serve_resilient, ChaosConfig, Defense, FleetConfig, GeneratorConfig};
+use pudiannao_serve::{
+    serve, serve_observed, ChaosConfig, Defense, FleetConfig, GeneratorConfig, ObserveConfig,
+};
 
 /// The smoke-sized slice of the pinned gate stream (same shape and seed,
 /// fewer requests), matching `chaos_bench --smoke`.
@@ -51,8 +53,9 @@ fn quarantine_pulls_a_crash_looping_shard_out_of_the_tail() {
         ..retries_only
     };
 
-    let undefended = serve_resilient(&fleet, &gen, &chaos, &retries_only);
-    let defended = serve_resilient(&fleet, &gen, &chaos, &with_quarantine);
+    let off = ObserveConfig::off();
+    let undefended = serve_observed(&fleet, &gen, &chaos, &retries_only, &off);
+    let defended = serve_observed(&fleet, &gen, &chaos, &with_quarantine, &off);
 
     let res = defended.resilience.as_ref().expect("chaos run is resilient");
     let quarantines: u64 = res.shards.iter().map(|s| s.quarantines).sum();

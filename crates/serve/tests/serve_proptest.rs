@@ -15,7 +15,7 @@ fn fleet(
     FleetConfig {
         shards,
         max_batch,
-        admission: AdmissionConfig { per_technique_cap, global_cap, priority_aware: false },
+        admission: AdmissionConfig { per_technique_cap, global_cap },
         trace_cache_bytes: pudiannao_serve::TRACE_CACHE_BYTES,
     }
 }

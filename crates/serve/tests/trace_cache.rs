@@ -3,8 +3,8 @@
 //! cache stats, line states — to generating the trace fresh through a
 //! [`BatchSink`], for every `(phase, tier)` in the catalog and for every
 //! slot state (recording, replay, over-budget). At the fleet level the
-//! cache must be invisible: the serialised report is byte-identical with
-//! the cache on or off.
+//! cache must be invisible: the serialised report is byte-identical under
+//! the default budget and under a zero budget, which keeps no template.
 
 use pudiannao_codegen::phases::Phase;
 use pudiannao_memsim::{batch, AccessBlock, BatchSink, CacheConfig, SimdEngine};
@@ -131,9 +131,10 @@ fn over_budget_slots_still_match_fresh_generation() {
 }
 
 /// Fleet level: the cache only moves wall-clock and memory. The
-/// serialised report of a run with the cache on is byte-identical to the
-/// same run with it off, and the in-memory counters attach only to the
-/// cached run — they never leak into the JSON.
+/// serialised report of a run with the default budget is byte-identical
+/// to the same run with a zero budget. Both runs attach in-memory
+/// counters — the zero-budget run's show no hit and no ready slot — and
+/// the counters never leak into the JSON.
 #[test]
 fn fleet_report_is_byte_identical_cache_on_or_off() {
     let gen = GeneratorConfig { requests: 800, ..GeneratorConfig::smoke(77) };
@@ -152,7 +153,8 @@ fn fleet_report_is_byte_identical_cache_on_or_off() {
     let stats = on.trace_cache.expect("cached run reports cache counters");
     assert!(stats.hits > 0, "smoke stream repeats phases, so replays must happen");
     assert!(stats.ready_slots > 0);
-    assert!(off.trace_cache.is_none(), "disabled cache reports no counters");
+    let off_stats = off.trace_cache.expect("every fleet run reports cache counters");
+    assert_eq!((off_stats.hits, off_stats.ready_slots), (0, 0), "a zero budget keeps nothing");
     // The counters live outside the serialised schema entirely.
     assert!(!on.to_json().to_string_pretty().contains("trace_cache"));
 }

@@ -9,8 +9,8 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use pudiannao_serve::{
-    fleet_timeline, serve_observed, serve_resilient, ChaosConfig, Defense, FleetConfig,
-    GeneratorConfig, MetricsConfig, ObserveConfig, SpanEvent, TraceConfig,
+    fleet_timeline, serve_observed, ChaosConfig, Defense, FleetConfig, GeneratorConfig,
+    MetricsConfig, ObserveConfig, SpanEvent, TraceConfig,
 };
 
 proptest! {
@@ -58,7 +58,7 @@ proptest! {
         };
         let config = FleetConfig::with_shards(shards);
 
-        let plain = serve_resilient(&config, &gen, &chaos, &defense);
+        let plain = serve_observed(&config, &gen, &chaos, &defense, &ObserveConfig::off());
         // A ring far larger than any event count this stream can produce:
         // conservation below relies on nothing being evicted.
         let observe = ObserveConfig {

@@ -6,8 +6,8 @@
 #   scripts/check.sh --bench     # parallel determinism + committed repro reports
 #   scripts/check.sh --faults    # fault-campaign smoke + pinned outcomes + committed full report
 #   scripts/check.sh --profile   # timeline smoke + pinned bottleneck verdicts
-#   scripts/check.sh --serve     # serving-fleet smoke + pinned admission counts
-#   scripts/check.sh --chaos     # chaos smoke: fault x defence sweep + pinned outcomes
+#   scripts/check.sh --serve     # serving-fleet smoke + pinned admission counts + committed full report
+#   scripts/check.sh --chaos     # chaos smoke: fault x defence sweep + pinned outcomes + committed full report
 #   scripts/check.sh --serve-trace # fleet timeline smoke + pinned span/track counts
 #
 # Takes no argument or exactly one of the modes above; anything else is a
@@ -159,6 +159,14 @@ EOF
     cmp "$tmp/seq.json" "$tmp/par.json"
     echo "    serve_report.json byte-identical"
 
+    # The committed report is the full run's output (heavy stream plus the
+    # scaling sweep): a fresh run must reproduce it byte for byte
+    # (regenerate deliberately, never silently).
+    echo "==> full serve_bench vs committed serve_report.json"
+    "$bin/serve_bench" --out "$tmp/full.json" >/dev/null
+    cmp serve_report.json "$tmp/full.json"
+    echo "    committed serve_report.json reproduced"
+
     echo "OK: serving smoke passed"
     exit 0
 fi
@@ -215,6 +223,13 @@ EOF
         --out "$tmp/par.json" >/dev/null
     cmp "$tmp/seq.json" "$tmp/par.json"
     echo "    chaos_report.json byte-identical"
+
+    # The committed report is the full sweep's output: a fresh run must
+    # reproduce it byte for byte (regenerate deliberately, never silently).
+    echo "==> full chaos_bench vs committed chaos_report.json"
+    "$bin/chaos_bench" --out "$tmp/full.json" >/dev/null
+    cmp chaos_report.json "$tmp/full.json"
+    echo "    committed chaos_report.json reproduced"
 
     echo "OK: chaos smoke passed"
     exit 0
