@@ -200,8 +200,30 @@ impl Value {
 /// `cannot write <path>: <reason>` when the file cannot be written.
 pub fn write_file(path: impl AsRef<std::path::Path>, value: &Value) -> Result<(), String> {
     let path = path.as_ref();
-    std::fs::write(path, value.to_string_pretty())
-        .map_err(|e| format!("cannot write {}: {e}", path.display()))
+    std::fs::write(path, value.to_string_pretty()).map_err(|e| write_error(path, &e))
+}
+
+/// Checks that [`write_file`] will be able to open `path`, before a
+/// binary spends its run computing the report: the file is opened for
+/// writing without truncating it, and removed again if this check
+/// created it.
+///
+/// # Errors
+///
+/// The same `cannot write <path>: <reason>` as [`write_file`].
+pub fn check_writable(path: impl AsRef<std::path::Path>) -> Result<(), String> {
+    let path = path.as_ref();
+    let existed = std::fs::symlink_metadata(path).is_ok();
+    let opened = std::fs::OpenOptions::new().append(true).create(true).open(path);
+    opened.map_err(|e| write_error(path, &e))?;
+    if !existed {
+        let _ = std::fs::remove_file(path);
+    }
+    Ok(())
+}
+
+fn write_error(path: &std::path::Path, e: &std::io::Error) -> String {
+    format!("cannot write {}: {e}", path.display())
 }
 
 /// Where and why [`parse`] rejected a document.
@@ -778,6 +800,12 @@ mod tests {
         // A directory where the file should go.
         let err = write_file(&dir, &doc).unwrap_err();
         assert!(err.starts_with(&format!("cannot write {}: ", dir.display())), "{err}");
+        assert_eq!(check_writable(&dir), Err(err));
+        // The check neither truncates an existing file nor leaves a new one.
+        check_writable(dir.join("doc.json")).unwrap();
+        assert_eq!(std::fs::read_to_string(dir.join("doc.json")).unwrap(), doc.to_string_pretty());
+        check_writable(dir.join("new.json")).unwrap();
+        assert!(!dir.join("new.json").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -3,7 +3,8 @@
 //! Figure-15 phase).
 //!
 //! Usage: `repro_all` (no arguments). Each experiment prints under its
-//! `==== <id>: <title> ====` banner.
+//! `==== <id>: <title> ====` banner. A report path that cannot be
+//! written fails the run before any experiment starts.
 //!
 //! The experiments are independent, so they run on the
 //! `pudiannao_serve::pool` worker pool (capped by `REPRO_THREADS`;
@@ -18,10 +19,16 @@ use pudiannao_serve::pool::{run_indexed, worker_count};
 
 type Job = Box<dyn FnOnce() -> ExperimentReport + Send>;
 
+const SUMMARY: &str = "repro_summary.json";
+const PHASES: &str = "phase_reports.json";
+
 fn main() {
     if let Some(arg) = std::env::args_os().nth(1) {
         eprintln!("error: unexpected argument {arg:?} (usage: repro_all, no arguments)");
         std::process::exit(2);
+    }
+    for path in [SUMMARY, PHASES] {
+        or_exit(json::check_writable(path));
     }
     let jobs: Vec<Job> = vec![
         Box::new(locality::fig02_knn_tiling),
@@ -49,15 +56,15 @@ fn main() {
     }
     let reports = run_indexed(jobs);
     let summary = Value::array(reports.iter().map(ExperimentReport::to_json).collect());
-    write_or_exit("repro_summary.json", &summary);
-    println!("\nwrote repro_summary.json ({} experiments)", reports.len());
+    or_exit(json::write_file(SUMMARY, &summary));
+    println!("\nwrote {SUMMARY} ({} experiments)", reports.len());
 
-    write_or_exit("phase_reports.json", &evaluation::phase_reports_json());
-    println!("wrote phase_reports.json (13 per-phase run reports)");
+    or_exit(json::write_file(PHASES, &evaluation::phase_reports_json()));
+    println!("wrote {PHASES} (13 per-phase run reports)");
 }
 
-fn write_or_exit(path: &str, doc: &Value) {
-    if let Err(e) = json::write_file(path, doc) {
+fn or_exit(result: Result<(), String>) {
+    if let Err(e) = result {
         eprintln!("error: {e}");
         std::process::exit(1);
     }

@@ -1,8 +1,9 @@
 //! The bench binaries fail cleanly: a report they cannot write is an
-//! error line naming the file and exit status 1, and a bad command line
-//! (an unknown flag, a flag missing its value, or an argument that is not
-//! valid UTF-8) is an error line and exit status 2 with nothing written —
-//! never a panic.
+//! error line naming the file and exit status 1 with no report written
+//! (`repro_all` checks its paths before any experiment runs), and a bad
+//! command line (an unknown flag, a flag missing its value, or an
+//! argument that is not valid UTF-8) is an error line and exit status 2
+//! with nothing written — never a panic.
 
 use std::ffi::OsStr;
 use std::process::{Command, Output};
@@ -42,11 +43,17 @@ fn unwritable_reports_exit_1_without_panicking() {
     .into_iter()
     .enumerate()
     {
-        let (out, _) = run_in_fresh_dir(&format!("write{i}"), exe, args, Some(blocked));
+        let (out, written) = run_in_fresh_dir(&format!("write{i}"), exe, args, Some(blocked));
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{exe}: {stderr}");
         assert!(stderr.contains(&format!("error: cannot write {shown}: ")), "{exe}: {stderr}");
         assert!(!stderr.contains("panicked"), "{exe}: {stderr}");
+        assert_eq!(written, 0, "{exe} wrote a report next to the blocked {blocked}");
+        if exe == env!("CARGO_BIN_EXE_repro_all") {
+            // Both report paths are checked before any experiment runs.
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(!stdout.contains("==== "), "{exe} ran experiments first:\n{stdout}");
+        }
     }
 }
 

@@ -24,7 +24,7 @@ use crate::kernels::{KernelStats, TraceSink, Workload};
 
 /// Per-line entries packed before a flush: large enough to amortise the
 /// block dispatch, small enough that the scratch block stays
-/// cache-resident (8192 × 13 bytes of SoA columns ≈ 104 KB).
+/// cache-resident (8192 × 9 bytes of SoA columns = 72 KiB).
 pub const FLUSH_ACCESSES: usize = 8192;
 
 /// A [`TraceSink`] that packs ops into SoA blocks for an engine.

@@ -16,10 +16,10 @@
 //!   is a mask and a shift off a dense `u64` stream. Storing the line
 //!   address rather than separate set/tag arrays keeps a packed block
 //!   valid for any set count with the same line size;
-//! * **dense layout** — three packed arrays (`u64` line addresses,
-//!   `u32` byte counts, one `u8` packing kind+class), 13 bytes per
-//!   entry instead of 24, with the `bytes` array only read on the
-//!   write-around policy (see [`Cache::access_soa`]).
+//! * **dense layout** — two packed arrays (`u64` line addresses and one
+//!   `u8` packing kind+class), 9 bytes per entry instead of 24. An
+//!   access's width only decides which lines it touches, so it is spent
+//!   at pack time and not stored.
 //!
 //! Equivalence contract: iterating a block's entries in order yields the
 //! exact per-line access sequence [`Cache::access`] would perform on the
@@ -27,12 +27,15 @@
 //! is what keeps every sha-pinned report byte-identical.
 //!
 //! [`Cache::access`]: crate::Cache::access
-//! [`Cache::access_soa`]: crate::Cache::access_soa
 
 use crate::access::{Access, AccessKind, VarClass};
 
 /// Bit 0 of a packed meta byte: set for writes.
 const META_WRITE: u8 = 1;
+
+/// Bytes one packed entry occupies across the two columns: a `u64` line
+/// address and a `u8` meta byte.
+const BYTES_PER_ENTRY: usize = core::mem::size_of::<u64>() + core::mem::size_of::<u8>();
 
 /// Decode table for bits 2..1 of a packed meta byte. Indexing a const
 /// table is branch-free and keeps the discriminants in one place (the
@@ -73,7 +76,7 @@ pub(crate) fn meta_class(meta: u8) -> VarClass {
 /// [`BatchSink`]: crate::BatchSink
 /// [`SimdEngine::commit_block`]: crate::SimdEngine::commit_block
 /// [`Cache::access_soa`]: crate::Cache::access_soa
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AccessBlock {
     /// `log2(line_bytes)` of the cache this block was packed for.
     line_shift: u32,
@@ -81,10 +84,6 @@ pub struct AccessBlock {
     ops: u64,
     /// Line address (`addr >> line_shift`) of each per-line touch.
     addrs: Vec<u64>,
-    /// Original access width of each touch (only consumed by the
-    /// write-around policy, which charges `min(bytes, line_bytes)` per
-    /// touched line exactly like the scalar splitter).
-    bytes: Vec<u32>,
     /// `(class << 1) | write_bit` of each touch.
     meta: Vec<u8>,
 }
@@ -94,8 +93,8 @@ impl AccessBlock {
     ///
     /// # Panics
     ///
-    /// Panics if `line_bytes` is zero or not a power of two (the same
-    /// constraint [`CacheConfig::validate`] enforces).
+    /// Panics if `line_bytes` is not a power of two of at least 2 bytes
+    /// (the same constraint [`CacheConfig::validate`] enforces).
     ///
     /// [`CacheConfig::validate`]: crate::CacheConfig::validate
     #[must_use]
@@ -107,15 +106,10 @@ impl AccessBlock {
     /// per-line entries.
     #[must_use]
     pub fn with_capacity(line_bytes: u32, capacity: usize) -> AccessBlock {
-        assert!(
-            line_bytes > 0 && line_bytes.is_power_of_two(),
-            "line size {line_bytes} must be a non-zero power of two"
-        );
         AccessBlock {
-            line_shift: line_bytes.trailing_zeros(),
+            line_shift: line_shift_of(line_bytes),
             ops: 0,
             addrs: Vec::with_capacity(capacity),
-            bytes: Vec::with_capacity(capacity),
             meta: Vec::with_capacity(capacity),
         }
     }
@@ -150,7 +144,6 @@ impl AccessBlock {
     pub fn clear(&mut self) {
         self.ops = 0;
         self.addrs.clear();
-        self.bytes.clear();
         self.meta.clear();
     }
 
@@ -158,12 +151,8 @@ impl AccessBlock {
     /// line size, with the same validity requirement as
     /// [`AccessBlock::new`].
     pub fn rearm(&mut self, line_bytes: u32) {
-        assert!(
-            line_bytes > 0 && line_bytes.is_power_of_two(),
-            "line size {line_bytes} must be a non-zero power of two"
-        );
+        self.line_shift = line_shift_of(line_bytes);
         self.clear();
-        self.line_shift = line_bytes.trailing_zeros();
     }
 
     /// Flattens one SIMD operation's operand accesses into the block,
@@ -171,7 +160,7 @@ impl AccessBlock {
     ///
     /// Same-line operands are the overwhelmingly common case (a 32-byte
     /// SIMD operand in a 64-byte line), so the hot path is a branchless
-    /// crossing check over the whole op followed by three exact-size
+    /// crossing check over the whole op followed by two exact-size
     /// iterator extends — one reserve per column, no per-element
     /// capacity branches. Crossing ops take the scalar expansion loop.
     ///
@@ -193,7 +182,6 @@ impl AccessBlock {
             self.addrs.truncate(base);
             self.push_op_crossing(operands);
         } else {
-            self.bytes.extend(operands.iter().map(|a| a.bytes));
             self.meta.extend(operands.iter().map(|a| meta_of(a.kind, a.class)));
         }
     }
@@ -207,54 +195,29 @@ impl AccessBlock {
             let (start_line, end_line) = a.line_span(self.line_shift);
             for line_addr in start_line..=end_line {
                 self.addrs.push(line_addr);
-                self.bytes.push(a.bytes);
                 self.meta.push(m);
             }
         }
     }
 
-    /// Appends every entry (and the op charge) of `other`. Used by the
-    /// serving layer's trace-template cache to splice flushed chunks into
-    /// one replayable arena block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the blocks were packed for different line sizes — their
-    /// entries would not describe the same per-line sequence.
-    pub fn extend_from_block(&mut self, other: &AccessBlock) {
-        assert_eq!(
-            self.line_shift, other.line_shift,
-            "cannot splice blocks packed for different line sizes"
-        );
-        self.ops += other.ops;
-        self.addrs.extend_from_slice(&other.addrs);
-        self.bytes.extend_from_slice(&other.bytes);
-        self.meta.extend_from_slice(&other.meta);
-    }
-
     /// The per-line touches in pack order, decoded — the reference view
     /// the differential tests compare against a scalar split.
-    pub fn entries(&self) -> impl Iterator<Item = (u64, u32, AccessKind, VarClass)> + '_ {
-        self.addrs
-            .iter()
-            .zip(&self.bytes)
-            .zip(&self.meta)
-            .map(|((&addr, &bytes), &m)| (addr, bytes, meta_kind(m), meta_class(m)))
+    pub fn entries(&self) -> impl Iterator<Item = (u64, AccessKind, VarClass)> + '_ {
+        self.addrs.iter().zip(&self.meta).map(|(&addr, &m)| (addr, meta_kind(m), meta_class(m)))
     }
 
-    /// Heap bytes behind the packed arrays (capacity, not length) — the
-    /// arena-budget accounting the trace-template cache uses.
+    /// Bytes the packed entries occupy: [`AccessBlock::len`] × 9, a pure
+    /// function of the packed trace (capacity is not counted). The
+    /// serving layer's trace-template cache budgets its arenas with it.
     #[must_use]
-    pub fn heap_bytes(&self) -> usize {
-        self.addrs.capacity() * core::mem::size_of::<u64>()
-            + self.bytes.capacity() * core::mem::size_of::<u32>()
-            + self.meta.capacity()
+    pub fn packed_bytes(&self) -> usize {
+        self.len() * BYTES_PER_ENTRY
     }
 
     /// The raw packed arrays, for the cache's SoA pass.
     #[inline]
-    pub(crate) fn parts(&self) -> (&[u64], &[u32], &[u8]) {
-        (&self.addrs, &self.bytes, &self.meta)
+    pub(crate) fn parts(&self) -> (&[u64], &[u8]) {
+        (&self.addrs, &self.meta)
     }
 
     /// `log2(line_bytes)`, for the pass's geometry check.
@@ -262,6 +225,18 @@ impl AccessBlock {
     pub(crate) fn line_shift(&self) -> u32 {
         self.line_shift
     }
+}
+
+/// `log2(line_bytes)`, checking the constraint [`CacheConfig::validate`]
+/// enforces.
+///
+/// [`CacheConfig::validate`]: crate::CacheConfig::validate
+fn line_shift_of(line_bytes: u32) -> u32 {
+    assert!(
+        line_bytes >= 2 && line_bytes.is_power_of_two(),
+        "line size {line_bytes} must be a power of two of at least 2 bytes"
+    );
+    line_bytes.trailing_zeros()
 }
 
 #[cfg(test)]
@@ -282,12 +257,13 @@ mod tests {
         assert_eq!(
             got,
             vec![
-                (0, 32, AccessKind::Read, VarClass::Hot),
-                (0, 32, AccessKind::Write, VarClass::Output),
-                (1, 32, AccessKind::Write, VarClass::Output),
-                (2, 0, AccessKind::Read, VarClass::Stream),
+                (0, AccessKind::Read, VarClass::Hot),
+                (0, AccessKind::Write, VarClass::Output),
+                (1, AccessKind::Write, VarClass::Output),
+                (2, AccessKind::Read, VarClass::Stream),
             ]
         );
+        assert_eq!(b.packed_bytes(), 4 * 9);
     }
 
     #[test]
@@ -305,31 +281,18 @@ mod tests {
     fn clear_keeps_capacity_and_line_size() {
         let mut b = AccessBlock::with_capacity(64, 128);
         b.push_op(&[Access::read(Addr(0), 32, VarClass::Hot)]);
-        let cap_bytes = b.heap_bytes();
+        let capacity = (b.addrs.capacity(), b.meta.capacity());
         b.clear();
         assert!(b.is_empty());
+        assert_eq!(b.packed_bytes(), 0);
         assert_eq!(b.line_bytes(), 64);
-        assert_eq!(b.heap_bytes(), cap_bytes);
+        assert_eq!((b.addrs.capacity(), b.meta.capacity()), capacity);
     }
 
     #[test]
-    fn extend_splices_entries_and_ops() {
-        let mut a = AccessBlock::new(64);
-        a.push_op(&[Access::read(Addr(0), 32, VarClass::Hot)]);
-        let mut b = AccessBlock::new(64);
-        b.push_op(&[Access::write(Addr(64), 4, VarClass::Output)]);
-        b.push_op(&[Access::read(Addr(128), 4, VarClass::Cold)]);
-        a.extend_from_block(&b);
-        assert_eq!(a.ops(), 3);
-        assert_eq!(a.len(), 3);
-        assert_eq!(a.entries().count(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "different line sizes")]
-    fn extend_rejects_mismatched_line_sizes() {
-        let mut a = AccessBlock::new(64);
-        a.extend_from_block(&AccessBlock::new(32));
+    #[should_panic(expected = "at least 2 bytes")]
+    fn one_byte_lines_are_rejected() {
+        let _ = AccessBlock::new(1);
     }
 
     #[test]

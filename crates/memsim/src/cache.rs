@@ -29,11 +29,11 @@
 //! * a **way-parallel probe**: each set with `ways <= 8` keeps a packed
 //!   one-byte-per-way tag signature (see the `probe` module), so a set
 //!   lookup is a SWAR XOR/haszero match instead of a per-way scan, with
-//!   the victim way selected lazily — only allocating misses pay for it.
+//!   the victim way selected lazily — only misses pay for it.
 //!   Wider sets scan their ways;
 //! * a **register-resident loop**: a whole packed [`AccessBlock`] streams
-//!   through one loop, monomorphised per policy, with the tick and hit
-//!   counters held in locals instead of `self`.
+//!   through one loop, with the tick and hit counters held in locals
+//!   instead of `self`.
 //!
 //! [`SimdEngine::commit_block`]: crate::SimdEngine::commit_block
 
@@ -42,60 +42,31 @@ use crate::block::{meta_class, meta_kind, AccessBlock};
 use crate::probe;
 use core::fmt;
 
-/// Replacement policy for a cache set.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum ReplacementPolicy {
-    /// Evict the least-recently-used line (the paper's implied policy).
-    #[default]
-    Lru,
-    /// Evict the oldest-filled line regardless of use.
-    Fifo,
-}
-
-/// Write policy.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum WritePolicy {
-    /// Write-back with write-allocate: stores fill the line and dirty it;
-    /// dirty evictions cost a line of off-chip write traffic.
-    #[default]
-    WriteBackAllocate,
-    /// Write-through without allocation ("write-around"): stores that miss
-    /// go straight to memory, costing their own bytes, and do not disturb
-    /// the cache. Matches streaming-output behaviour.
-    WriteAroundNoAllocate,
-}
-
-/// Configuration of a [`Cache`].
+/// Geometry of a [`Cache`].
 ///
-/// Defaults (via [`CacheConfig::paper_default`]) reproduce the paper's
-/// in-house simulator: 32 KB, enough banks to feed a 256-bit SIMD engine
-/// every cycle.
+/// The policy is fixed: every cache evicts the least-recently-used line
+/// of a set, and stores write back and allocate (a store miss fetches
+/// its line like a load, then dirties it; a dirty eviction costs a line
+/// of off-chip write traffic). Defaults (via
+/// [`CacheConfig::paper_default`]) reproduce the paper's in-house
+/// simulator: 32 KB, enough banks to feed a 256-bit SIMD engine every
+/// cycle.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes. Must be a multiple of `line_bytes * ways`.
     pub capacity_bytes: u32,
-    /// Cache line size in bytes (power of two).
+    /// Cache line size in bytes (a power of two, at least 2).
     pub line_bytes: u32,
     /// Associativity (ways per set).
     pub ways: u32,
-    /// Replacement policy.
-    pub replacement: ReplacementPolicy,
-    /// Write policy.
-    pub write_policy: WritePolicy,
 }
 
 impl CacheConfig {
     /// The configuration of the paper's in-house locality simulator:
-    /// 32 KB, 64-byte lines, 8-way LRU, write-back write-allocate.
+    /// 32 KB, 64-byte lines, 8 ways.
     #[must_use]
     pub fn paper_default() -> CacheConfig {
-        CacheConfig {
-            capacity_bytes: 32 * 1024,
-            line_bytes: 64,
-            ways: 8,
-            replacement: ReplacementPolicy::Lru,
-            write_policy: WritePolicy::WriteBackAllocate,
-        }
+        CacheConfig { capacity_bytes: 32 * 1024, line_bytes: 64, ways: 8 }
     }
 
     /// Number of sets implied by the configuration.
@@ -108,11 +79,12 @@ impl CacheConfig {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first violated constraint: capacities
-    /// and line sizes must be non-zero powers of two, and the capacity
-    /// must divide evenly into `ways` lines per set.
+    /// Returns a description of the first violated constraint: line sizes
+    /// must be powers of two of at least 2 bytes, capacities non-zero
+    /// powers of two, and the capacity must divide evenly into `ways`
+    /// lines per set.
     pub fn validate(&self) -> Result<(), CacheConfigError> {
-        if self.line_bytes == 0 || !self.line_bytes.is_power_of_two() {
+        if self.line_bytes < 2 || !self.line_bytes.is_power_of_two() {
             return Err(CacheConfigError::BadLineSize(self.line_bytes));
         }
         if self.ways == 0 {
@@ -139,7 +111,9 @@ impl Default for CacheConfig {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum CacheConfigError {
-    /// Line size was zero or not a power of two.
+    /// Line size was not a power of two of at least 2 bytes. A 1-byte
+    /// line would make every `u64` a reachable line address, leaving the
+    /// line buffer no value to mark a dead entry with.
     BadLineSize(u32),
     /// Associativity was zero.
     ZeroWays,
@@ -152,7 +126,7 @@ impl fmt::Display for CacheConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CacheConfigError::BadLineSize(n) => {
-                write!(f, "line size {n} must be a non-zero power of two")
+                write!(f, "line size {n} must be a power of two of at least 2 bytes")
             }
             CacheConfigError::ZeroWays => f.write_str("associativity must be non-zero"),
             CacheConfigError::BadCapacity(n) => {
@@ -173,12 +147,11 @@ pub struct CacheStats {
     pub read_misses: u64,
     /// Write accesses that hit.
     pub write_hits: u64,
-    /// Write accesses that missed.
+    /// Write accesses that missed (and filled a line).
     pub write_misses: u64,
     /// Bytes fetched from off-chip memory (line fills).
     pub offchip_read_bytes: u64,
-    /// Bytes written to off-chip memory (dirty evictions or write-around
-    /// stores).
+    /// Bytes written to off-chip memory (dirty evictions).
     pub offchip_write_bytes: u64,
     /// Lines evicted (clean or dirty).
     pub evictions: u64,
@@ -211,7 +184,7 @@ impl CacheStats {
 
 /// One cache line's state, exposed for differential tests: comparing two
 /// snapshots pins not just the hit/miss counters but the exact victim
-/// choices and LRU/FIFO stamps.
+/// choices and LRU stamps.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LineState {
     /// Set index.
@@ -222,9 +195,9 @@ pub struct LineState {
     pub tag: u64,
     /// Whether the line holds data.
     pub valid: bool,
-    /// Whether the line is dirty (write-back policy).
+    /// Whether the line was written since its fill.
     pub dirty: bool,
-    /// LRU timestamp or FIFO fill order.
+    /// LRU timestamp: the tick of the line's last touch.
     pub stamp: u64,
 }
 
@@ -246,9 +219,9 @@ const LB_ASSOC: usize = 2;
 /// Total line-buffer entries.
 const LB_ENTRIES: usize = LB_CLASSES * LB_ASSOC;
 /// Sentinel line address marking a dead line-buffer entry. Real line
-/// addresses are `addr >> line_shift`, so with `line_shift >= 1` this
-/// value is unreachable; the degenerate 1-byte-line configuration keeps
-/// the buffer disabled instead (see [`Cache::access_soa`]).
+/// addresses are `addr >> line_shift`, and [`CacheConfig::validate`]
+/// rejects 1-byte lines, so `line_shift >= 1` and this value is
+/// unreachable.
 const LB_DEAD: u64 = u64::MAX;
 
 /// Hot mutable scalars of a batched pass, held in locals so the block
@@ -263,7 +236,6 @@ struct BlockState {
     tick: u64,
     read_hits: u64,
     write_hits: u64,
-    offchip_write_bytes: u64,
 }
 
 /// A banked set-associative cache.
@@ -289,7 +261,7 @@ pub struct Cache {
     config: CacheConfig,
     /// Way-packed tag array: entry `set * ways + way`.
     tags: Box<[u64]>,
-    /// Way-packed LRU timestamps / FIFO fill orders.
+    /// Way-packed LRU timestamps.
     stamps: Box<[u64]>,
     /// Way-packed `FLAG_VALID | FLAG_DIRTY` bits.
     flags: Box<[u8]>,
@@ -421,11 +393,10 @@ impl Cache {
     /// no line buffer. [`Cache::access_soa`] over the same stream, packed,
     /// leaves identical counters and line states.
     pub fn access(&mut self, access: Access) {
-        let Access { kind, bytes, class, .. } = access;
         let (start_line, end_line) = access.line_span(self.line_shift);
         for line_addr in start_line..=end_line {
             self.tick += 1;
-            self.access_line_slow(self.tick, line_addr, kind, bytes, class, false);
+            self.access_line_slow(self.tick, line_addr, access.kind, access.class, false);
         }
     }
 
@@ -436,10 +407,10 @@ impl Cache {
     /// order: the block's entries *are* the per-line sequence that path
     /// derives on the fly (splitting and `addr >> line_shift` happened at
     /// pack time), so the loop body is just the line-buffer probe over a
-    /// dense `u64` stream — no struct striding, no span computation, and
-    /// under write-back–allocate no `bytes` load at all (that column is
-    /// only consumed by the write-around policy; see
-    /// [`Cache::finish_miss`] / [`Cache::hit_at`]).
+    /// dense `u64` stream — no struct striding and no span computation.
+    /// The hot scalars ride in a by-value [`BlockState`] (an address-taken
+    /// local would be pinned to its stack slot and re-loaded every
+    /// iteration).
     ///
     /// # Panics
     ///
@@ -453,70 +424,14 @@ impl Cache {
             block.line_bytes(),
             self.config.line_bytes,
         );
-        let (addrs, bytes, meta) = block.parts();
-        // Monomorphise the pass on the two policy axes plus the line
-        // buffer, so the per-access policy branches constant-fold away
-        // inside the hot loop. The buffer is off only for 1-byte lines,
-        // where every `u64` is a reachable line address and `LB_DEAD`
-        // would collide.
-        let lb = self.line_shift > 0;
-        match (self.config.replacement, self.config.write_policy, lb) {
-            (ReplacementPolicy::Lru, WritePolicy::WriteBackAllocate, true) => {
-                self.block_pass_soa::<true, true, true>(addrs, bytes, meta);
-            }
-            (ReplacementPolicy::Lru, WritePolicy::WriteAroundNoAllocate, true) => {
-                self.block_pass_soa::<true, false, true>(addrs, bytes, meta);
-            }
-            (ReplacementPolicy::Fifo, WritePolicy::WriteBackAllocate, true) => {
-                self.block_pass_soa::<false, true, true>(addrs, bytes, meta);
-            }
-            (ReplacementPolicy::Fifo, WritePolicy::WriteAroundNoAllocate, true) => {
-                self.block_pass_soa::<false, false, true>(addrs, bytes, meta);
-            }
-            (ReplacementPolicy::Lru, WritePolicy::WriteBackAllocate, false) => {
-                self.block_pass_soa::<true, true, false>(addrs, bytes, meta);
-            }
-            (ReplacementPolicy::Lru, WritePolicy::WriteAroundNoAllocate, false) => {
-                self.block_pass_soa::<true, false, false>(addrs, bytes, meta);
-            }
-            (ReplacementPolicy::Fifo, WritePolicy::WriteBackAllocate, false) => {
-                self.block_pass_soa::<false, true, false>(addrs, bytes, meta);
-            }
-            (ReplacementPolicy::Fifo, WritePolicy::WriteAroundNoAllocate, false) => {
-                self.block_pass_soa::<false, false, false>(addrs, bytes, meta);
-            }
-        }
-    }
-
-    /// The SoA loop body: [`Cache::block_line`] over pre-split per-line
-    /// entries. `LRU` / `WB` / `LB` encode the replacement policy, write
-    /// policy and line-buffer switch as compile-time constants, and the
-    /// hot scalars ride in a by-value [`BlockState`] (an address-taken
-    /// local would be pinned to its stack slot and re-loaded every
-    /// iteration). Under `WB` the `bytes` column is provably unread by
-    /// the whole downstream path, so that load is elided — the
-    /// write-around instantiations zip it back in.
-    fn block_pass_soa<const LRU: bool, const WB: bool, const LB: bool>(
-        &mut self,
-        addrs: &[u64],
-        bytes: &[u32],
-        meta: &[u8],
-    ) {
-        let mut st =
-            BlockState { tick: self.tick, read_hits: 0, write_hits: 0, offchip_write_bytes: 0 };
-        if WB {
-            for (&line_addr, &m) in addrs.iter().zip(meta) {
-                st = self.block_line::<LRU, WB, LB>(st, line_addr, meta_kind(m), 0, meta_class(m));
-            }
-        } else {
-            for ((&line_addr, &b), &m) in addrs.iter().zip(bytes).zip(meta) {
-                st = self.block_line::<LRU, WB, LB>(st, line_addr, meta_kind(m), b, meta_class(m));
-            }
+        let (addrs, meta) = block.parts();
+        let mut st = BlockState { tick: self.tick, read_hits: 0, write_hits: 0 };
+        for (&line_addr, &m) in addrs.iter().zip(meta) {
+            st = self.block_line(st, line_addr, meta_kind(m), meta_class(m));
         }
         self.tick = st.tick;
         self.stats.read_hits += st.read_hits;
         self.stats.write_hits += st.write_hits;
-        self.stats.offchip_write_bytes += st.offchip_write_bytes;
     }
 
     /// Per-access body of the block loop: the line-buffer probe with its
@@ -528,59 +443,49 @@ impl Cache {
     /// would round-trip through memory on every access, which is the
     /// exact cost the batched pass exists to avoid.
     #[inline(always)]
-    fn block_line<const LRU: bool, const WB: bool, const LB: bool>(
+    fn block_line(
         &mut self,
         mut st: BlockState,
         line_addr: u64,
         kind: AccessKind,
-        bytes: u32,
         class: VarClass,
     ) -> BlockState {
         st.tick += 1;
         let g = class as usize * LB_ASSOC;
-        let slot = if LB && self.lb_addr[g] == line_addr {
+        let slot = if self.lb_addr[g] == line_addr {
             self.lb_slot[g] as usize
-        } else if LB && self.lb_addr[g + 1] == line_addr {
+        } else if self.lb_addr[g + 1] == line_addr {
             self.lb_slot[g + 1] as usize
         } else {
-            self.access_line_slow(st.tick, line_addr, kind, bytes, class, LB);
+            self.access_line_slow(st.tick, line_addr, kind, class, true);
             return st;
         };
         match kind {
             AccessKind::Read => st.read_hits += 1,
             AccessKind::Write => {
                 st.write_hits += 1;
-                if WB {
-                    // Check-before-set: repeated stores to a dirty line
-                    // are the common case, and a predicted branch beats
-                    // a read-modify-write store chain.
-                    if self.flags[slot] & FLAG_DIRTY == 0 {
-                        self.flags[slot] |= FLAG_DIRTY;
-                    }
-                } else {
-                    // Write-through on hit: bytes go to memory too.
-                    st.offchip_write_bytes +=
-                        u64::from(bytes).min(u64::from(self.config.line_bytes));
+                // Check-before-set: repeated stores to a dirty line are
+                // the common case, and a predicted branch beats a
+                // read-modify-write store chain.
+                if self.flags[slot] & FLAG_DIRTY == 0 {
+                    self.flags[slot] |= FLAG_DIRTY;
                 }
             }
         }
-        if LRU {
-            self.stamps[slot] = st.tick;
-        }
+        self.stamps[slot] = st.tick;
         st
     }
 
-    /// Full set resolution; `insert_lb` feeds the line buffer on hits and
-    /// fills (false on the [`Cache::access`] reference path and whenever
-    /// the buffer is off).
-    #[allow(clippy::too_many_arguments)]
+    /// Full set resolution: the hit bookkeeping, or the miss/fill
+    /// transition. Both kinds fill on a miss (write-allocate), and a
+    /// store dirties its line. `insert_lb` feeds the resolved slot to the
+    /// line buffer (false on the [`Cache::access`] reference path).
     #[inline]
     fn access_line_slow(
         &mut self,
         tick: u64,
         line_addr: u64,
         kind: AccessKind,
-        bytes: u32,
         class: VarClass,
         insert_lb: bool,
     ) {
@@ -588,21 +493,34 @@ impl Cache {
         let base = set_idx * self.ways;
         let tag = line_addr >> self.set_bits;
         let hit = self.probe_hit(set_idx, base, tag);
-        if hit != usize::MAX {
-            let slot = base + hit;
-            if insert_lb {
-                self.lb_insert(line_addr, slot, class);
+        let slot = if hit == usize::MAX {
+            match kind {
+                AccessKind::Read => self.stats.read_misses += 1,
+                AccessKind::Write => self.stats.write_misses += 1,
             }
-            self.hit_at(tick, slot, kind, bytes);
-            return;
+            self.stats.offchip_read_bytes += u64::from(self.config.line_bytes);
+            self.install(tick, set_idx, base, tag, kind == AccessKind::Write)
+        } else {
+            let slot = base + hit;
+            match kind {
+                AccessKind::Read => self.stats.read_hits += 1,
+                AccessKind::Write => {
+                    self.stats.write_hits += 1;
+                    self.flags[slot] |= FLAG_DIRTY;
+                }
+            }
+            self.stamps[slot] = tick;
+            slot
+        };
+        if insert_lb {
+            self.lb_insert(line_addr, slot, class);
         }
-        self.finish_miss(tick, set_idx, base, line_addr, tag, kind, bytes, class, insert_lb);
     }
 
     /// Resolves the hit way, returning `usize::MAX` on a miss: the SWAR
     /// signature match where the set has one, a way scan beyond. The
-    /// victim way is *not* computed here — only allocating misses need
-    /// one, and they pay for it lazily in [`Cache::finish_miss`].
+    /// victim way is *not* computed here — only misses need one, and they
+    /// pay for it lazily in [`Cache::install`].
     #[inline]
     fn probe_hit(&self, set_idx: usize, base: usize, tag: u64) -> usize {
         let tags = &self.tags[base..base + self.ways];
@@ -613,7 +531,7 @@ impl Cache {
         (0..self.ways).find(|&w| flags[w] & FLAG_VALID != 0 && tags[w] == tag).unwrap_or(usize::MAX)
     }
 
-    /// Selects the victim way for an allocating miss: an invalid way when
+    /// Selects the victim way for a miss: an invalid way when
     /// one exists, else the first-minimum-stamp resident.
     #[inline]
     fn victim_way(&self, base: usize) -> usize {
@@ -667,89 +585,13 @@ impl Cache {
         (victim_key & u128::from(u32::MAX)) as usize
     }
 
-    /// The miss/fill transition, with the victim selected only on the
-    /// policies that actually allocate.
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    fn finish_miss(
-        &mut self,
-        tick: u64,
-        set_idx: usize,
-        base: usize,
-        line_addr: u64,
-        tag: u64,
-        kind: AccessKind,
-        bytes: u32,
-        class: VarClass,
-        insert_lb: bool,
-    ) {
-        let line_bytes = u64::from(self.config.line_bytes);
-        match kind {
-            AccessKind::Read => {
-                self.stats.read_misses += 1;
-                self.stats.offchip_read_bytes += line_bytes;
-                let victim = self.victim_way(base);
-                let slot = self.install(tick, set_idx, base, victim, tag, false);
-                if insert_lb {
-                    self.lb_insert(line_addr, slot, class);
-                }
-            }
-            AccessKind::Write => {
-                self.stats.write_misses += 1;
-                match self.config.write_policy {
-                    WritePolicy::WriteBackAllocate => {
-                        // Fetch-on-write then dirty the line.
-                        self.stats.offchip_read_bytes += line_bytes;
-                        let victim = self.victim_way(base);
-                        let slot = self.install(tick, set_idx, base, victim, tag, true);
-                        if insert_lb {
-                            self.lb_insert(line_addr, slot, class);
-                        }
-                    }
-                    WritePolicy::WriteAroundNoAllocate => {
-                        self.stats.offchip_write_bytes += u64::from(bytes).min(line_bytes);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Hit bookkeeping after a full set lookup.
-    #[inline]
-    fn hit_at(&mut self, tick: u64, slot: usize, kind: AccessKind, bytes: u32) {
-        match kind {
-            AccessKind::Read => self.stats.read_hits += 1,
-            AccessKind::Write => {
-                self.stats.write_hits += 1;
-                match self.config.write_policy {
-                    WritePolicy::WriteBackAllocate => self.flags[slot] |= FLAG_DIRTY,
-                    WritePolicy::WriteAroundNoAllocate => {
-                        // Write-through on hit: bytes go to memory too.
-                        self.stats.offchip_write_bytes +=
-                            u64::from(bytes).min(u64::from(self.config.line_bytes));
-                    }
-                }
-            }
-        }
-        if self.config.replacement == ReplacementPolicy::Lru {
-            self.stamps[slot] = tick;
-        }
-    }
-
-    /// Installs `tag` on the precomputed victim way: an invalid way when
-    /// one exists (those win the stamp reduction outright), else the
+    /// Installs `tag` on the set's victim way: an invalid way when one
+    /// exists (those win the stamp reduction outright), else the
     /// first-minimum-stamp resident (matching how `Iterator::min_by_key`
     /// resolves ties), which is evicted. Returns the recycled packed slot.
     #[inline]
-    fn install(
-        &mut self,
-        tick: u64,
-        set_idx: usize,
-        base: usize,
-        victim: usize,
-        tag: u64,
-        dirty: bool,
-    ) -> usize {
+    fn install(&mut self, tick: u64, set_idx: usize, base: usize, tag: u64, dirty: bool) -> usize {
+        let victim = self.victim_way(base);
         let slot = base + victim;
         if self.ways <= SIG_WAYS {
             // Refresh the packed signature byte for the recycled way.
@@ -824,8 +666,13 @@ mod tests {
     fn config_validation() {
         assert!(CacheConfig::paper_default().validate().is_ok());
         let mut bad = CacheConfig::paper_default();
-        bad.line_bytes = 48;
-        assert_eq!(bad.validate(), Err(CacheConfigError::BadLineSize(48)));
+        for line_bytes in [0, 1, 48] {
+            bad.line_bytes = line_bytes;
+            assert_eq!(bad.validate(), Err(CacheConfigError::BadLineSize(line_bytes)));
+        }
+        bad.line_bytes = 2;
+        bad.capacity_bytes = 2 * 8 * 4;
+        assert!(bad.validate().is_ok(), "2-byte lines are the smallest valid size");
         bad = CacheConfig::paper_default();
         bad.ways = 0;
         assert_eq!(bad.validate(), Err(CacheConfigError::ZeroWays));
@@ -856,13 +703,7 @@ mod tests {
 
     #[test]
     fn capacity_evictions_with_lru() {
-        let cfg = CacheConfig {
-            capacity_bytes: 1024,
-            line_bytes: 64,
-            ways: 2,
-            replacement: ReplacementPolicy::Lru,
-            write_policy: WritePolicy::WriteBackAllocate,
-        };
+        let cfg = CacheConfig { capacity_bytes: 1024, line_bytes: 64, ways: 2 };
         let mut c = Cache::new(cfg).unwrap();
         // 8 sets x 2 ways. Touch 3 lines mapping to set 0: 0, 512, 1024.
         c.access(read(0, 4));
@@ -877,64 +718,14 @@ mod tests {
     }
 
     #[test]
-    fn fifo_differs_from_lru() {
-        let mut cfg = CacheConfig {
-            capacity_bytes: 1024,
-            line_bytes: 64,
-            ways: 2,
-            replacement: ReplacementPolicy::Fifo,
-            write_policy: WritePolicy::WriteBackAllocate,
-        };
-        let mut c = Cache::new(cfg.clone()).unwrap();
-        c.access(read(0, 4));
-        c.access(read(512, 4));
-        c.access(read(0, 4)); // FIFO ignores the refresh
-        c.access(read(1024, 4)); // evicts 0 under FIFO
-        c.access(read(0, 4)); // miss under FIFO
-        assert_eq!(c.stats().read_misses, 4);
-
-        cfg.replacement = ReplacementPolicy::Lru;
-        let mut c = Cache::new(cfg).unwrap();
-        c.access(read(0, 4));
-        c.access(read(512, 4));
-        c.access(read(0, 4));
-        c.access(read(1024, 4)); // evicts 512 under LRU
-        c.access(read(0, 4)); // hit under LRU
-        assert_eq!(c.stats().read_misses, 3);
-    }
-
-    #[test]
     fn write_back_dirty_eviction_costs_traffic() {
-        let cfg = CacheConfig {
-            capacity_bytes: 128,
-            line_bytes: 64,
-            ways: 1,
-            replacement: ReplacementPolicy::Lru,
-            write_policy: WritePolicy::WriteBackAllocate,
-        };
+        let cfg = CacheConfig { capacity_bytes: 128, line_bytes: 64, ways: 1 };
         let mut c = Cache::new(cfg).unwrap();
         c.access(write(0, 4)); // miss: fetch 64, dirty
         assert_eq!(c.stats().offchip_read_bytes, 64);
         assert_eq!(c.stats().offchip_write_bytes, 0);
         c.access(read(128, 4)); // maps to set 0, evicts dirty line
         assert_eq!(c.stats().offchip_write_bytes, 64);
-    }
-
-    #[test]
-    fn write_around_streams_to_memory() {
-        let cfg = CacheConfig {
-            write_policy: WritePolicy::WriteAroundNoAllocate,
-            ..CacheConfig::paper_default()
-        };
-        let mut c = Cache::new(cfg).unwrap();
-        c.access(write(0, 4));
-        c.access(write(4, 4));
-        assert_eq!(c.stats().write_misses, 2);
-        assert_eq!(c.stats().offchip_write_bytes, 8);
-        assert_eq!(c.stats().offchip_read_bytes, 0);
-        // Cache contents untouched: a read still misses.
-        c.access(read(0, 4));
-        assert_eq!(c.stats().read_misses, 1);
     }
 
     #[test]
@@ -1002,13 +793,7 @@ mod tests {
     fn paths_agree_on_interleaved_streams() {
         // The kernels' shape: two interleaved read streams plus an output
         // stream, with enough distinct lines to force evictions.
-        let cfg = CacheConfig {
-            capacity_bytes: 2048,
-            line_bytes: 64,
-            ways: 4,
-            replacement: ReplacementPolicy::Lru,
-            write_policy: WritePolicy::WriteBackAllocate,
-        };
+        let cfg = CacheConfig { capacity_bytes: 2048, line_bytes: 64, ways: 4 };
         let mut stream = Vec::new();
         for i in 0..512u64 {
             stream.push(read(0x1000 + (i % 64) * 32, 32));
@@ -1018,37 +803,25 @@ mod tests {
             }
         }
         assert_paths_agree(&cfg, &stream);
-
-        let wa = CacheConfig { write_policy: WritePolicy::WriteAroundNoAllocate, ..cfg };
-        assert_paths_agree(&wa, &stream);
     }
 
     #[test]
     fn same_line_runs_agree() {
-        // Long same-line runs (line-buffer hits on the SoA pass) for
-        // every kind and policy, including line-crossing breaks
-        // mid-stream.
-        for policy in [WritePolicy::WriteBackAllocate, WritePolicy::WriteAroundNoAllocate] {
-            let cfg = CacheConfig {
-                capacity_bytes: 512,
-                line_bytes: 64,
-                ways: 2,
-                replacement: ReplacementPolicy::Lru,
-                write_policy: policy,
-            };
-            let mut stream = Vec::new();
-            for rep in 0..64u64 {
-                let line = rep * 64;
-                for e in 0..16u64 {
-                    stream.push(read(line + e * 4, 4));
-                }
-                for e in 0..16u64 {
-                    stream.push(write(line + e * 4, 4));
-                }
-                stream.push(read(line + 48, 32)); // crosses into the next line
+        // Long same-line runs (line-buffer hits on the SoA pass) of both
+        // kinds, including line-crossing breaks mid-stream.
+        let cfg = CacheConfig { capacity_bytes: 512, line_bytes: 64, ways: 2 };
+        let mut stream = Vec::new();
+        for rep in 0..64u64 {
+            let line = rep * 64;
+            for e in 0..16u64 {
+                stream.push(read(line + e * 4, 4));
             }
-            assert_paths_agree(&cfg, &stream);
+            for e in 0..16u64 {
+                stream.push(write(line + e * 4, 4));
+            }
+            stream.push(read(line + 48, 32)); // crosses into the next line
         }
+        assert_paths_agree(&cfg, &stream);
     }
 
     #[test]
@@ -1056,36 +829,11 @@ mod tests {
         // Direct-mapped 2-line cache: alternating lines that map to the
         // same set constantly recycle slots; a stale buffer entry would
         // turn a miss into a hit and diverge from the reference path.
-        let cfg = CacheConfig {
-            capacity_bytes: 128,
-            line_bytes: 64,
-            ways: 1,
-            replacement: ReplacementPolicy::Lru,
-            write_policy: WritePolicy::WriteBackAllocate,
-        };
+        let cfg = CacheConfig { capacity_bytes: 128, line_bytes: 64, ways: 1 };
         let mut stream = Vec::new();
         for i in 0..64u64 {
             stream.push(read((i % 3) * 128, 8));
             stream.push(write((i % 5) * 128, 8));
-        }
-        assert_paths_agree(&cfg, &stream);
-    }
-
-    #[test]
-    fn fifo_stamps_agree_on_same_line_runs() {
-        let cfg = CacheConfig {
-            capacity_bytes: 512,
-            line_bytes: 64,
-            ways: 2,
-            replacement: ReplacementPolicy::Fifo,
-            write_policy: WritePolicy::WriteBackAllocate,
-        };
-        let mut stream = Vec::new();
-        for i in 0..96u64 {
-            let line = (i % 12) * 256;
-            for e in 0..8u64 {
-                stream.push(read(line + e * 8, 8));
-            }
         }
         assert_paths_agree(&cfg, &stream);
     }

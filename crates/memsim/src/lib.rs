@@ -8,9 +8,9 @@
 //!
 //! This crate rebuilds that infrastructure:
 //!
-//! - [`Cache`] — a banked set-associative cache with pluggable replacement
-//!   and write policies, counting exactly the off-chip traffic the paper's
-//!   bandwidth figures report. It has one production pass,
+//! - [`Cache`] — a banked set-associative LRU cache with write-back,
+//!   write-allocate stores, counting exactly the off-chip traffic the
+//!   paper's bandwidth figures report. It has one production pass,
 //!   [`Cache::access_soa`] over a packed [`AccessBlock`], and one
 //!   reference, [`Cache::access`], that takes one access at a time.
 //! - [`SimdEngine`] — the 256-bit, 3-input, 1-op/cycle front end that
@@ -64,9 +64,7 @@ mod reuse;
 pub use access::{Access, AccessKind, Addr, VarClass};
 pub use batch::{run_buffered, BatchSink};
 pub use block::AccessBlock;
-pub use cache::{
-    Cache, CacheConfig, CacheConfigError, CacheStats, LineState, ReplacementPolicy, WritePolicy,
-};
+pub use cache::{Cache, CacheConfig, CacheConfigError, CacheStats, LineState};
 pub use engine::{BandwidthReport, SimdEngine, SIMD_WIDTH_BYTES};
 pub use kernels::{KernelStats, Technique, Workload};
 pub use reuse::{ReuseClass, ReuseProfiler, ReuseSummary, VariableReuse};

@@ -2,8 +2,7 @@
 
 use proptest::prelude::*;
 use pudiannao_memsim::{
-    Access, AccessKind, Addr, Cache, CacheConfig, ReplacementPolicy, ReuseProfiler, VarClass,
-    WritePolicy,
+    Access, AccessBlock, AccessKind, Addr, Cache, CacheConfig, ReuseProfiler, VarClass,
 };
 
 fn any_access() -> impl Strategy<Value = Access> {
@@ -11,28 +10,45 @@ fn any_access() -> impl Strategy<Value = Access> {
         .prop_map(|(addr, kind)| Access { addr: Addr(addr), bytes: 4, kind, class: VarClass::Hot })
 }
 
+/// Runs a trace of 4-byte accesses through [`Cache::access`] and, packed
+/// one op per access, through [`Cache::access_soa`] on the paper cache.
+/// On both paths hits + misses equals the number of line-level accesses,
+/// and read traffic is whole cache lines.
+fn assert_accounting_is_consistent(trace: &[Access]) {
+    let mut reference = Cache::new(CacheConfig::paper_default()).unwrap();
+    let mut block = AccessBlock::new(64);
+    for a in trace {
+        reference.access(*a);
+        block.push_op(core::slice::from_ref(a));
+    }
+    let mut soa = Cache::new(CacheConfig::paper_default()).unwrap();
+    soa.access_soa(&block);
+    // Accesses are counted per touched cache line (a 4-byte access
+    // crossing a 64-byte boundary counts twice).
+    let expected: u64 = trace.iter().map(|a| (a.addr.0 + 3) / 64 - a.addr.0 / 64 + 1).sum();
+    for (path, cache) in [("access", &reference), ("access_soa", &soa)] {
+        let s = cache.stats();
+        assert_eq!(s.accesses(), expected, "{path}");
+        assert_eq!(s.offchip_read_bytes % 64, 0, "{path}");
+        assert!(s.miss_ratio() >= 0.0 && s.miss_ratio() <= 1.0, "{path}");
+        assert!(s.read_misses + s.write_misses >= s.evictions, "{path}");
+    }
+}
+
+/// A 4-byte read at address 701 crosses the line boundary at 704, so it
+/// counts as two line-level accesses.
+#[test]
+fn accounting_counts_a_line_crossing_read_twice() {
+    assert_accounting_is_consistent(&[Access::read(Addr(701), 4, VarClass::Hot)]);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Hits + misses always equals the number of line-level accesses, and
-    /// read traffic is always whole cache lines.
+    /// The accounting holds on random traces, on both cache paths.
     #[test]
     fn accounting_is_consistent(trace in proptest::collection::vec(any_access(), 1..300)) {
-        let mut cache = Cache::new(CacheConfig::paper_default()).unwrap();
-        for a in &trace {
-            cache.access(*a);
-        }
-        let s = cache.stats();
-        // Accesses are counted per touched cache line (a 4-byte access
-        // crossing a 64-byte boundary counts twice).
-        let expected: u64 = trace
-            .iter()
-            .map(|a| (a.addr.0 + 3) / 64 - a.addr.0 / 64 + 1)
-            .sum();
-        prop_assert_eq!(s.accesses(), expected);
-        prop_assert_eq!(s.offchip_read_bytes % 64, 0);
-        prop_assert!(s.miss_ratio() >= 0.0 && s.miss_ratio() <= 1.0);
-        prop_assert!(s.read_misses + s.write_misses >= s.evictions);
+        assert_accounting_is_consistent(&trace);
     }
 
     /// Replaying the same trace twice at most halves the miss count only
@@ -66,13 +82,7 @@ proptest! {
         addrs in proptest::collection::vec(0u64..(1 << 15), 1..200),
     ) {
         let misses_with = |capacity: u32| {
-            let cfg = CacheConfig {
-                capacity_bytes: capacity,
-                line_bytes: 64,
-                ways: 8,
-                replacement: ReplacementPolicy::Lru,
-                write_policy: WritePolicy::WriteBackAllocate,
-            };
+            let cfg = CacheConfig { capacity_bytes: capacity, line_bytes: 64, ways: 8 };
             let mut cache = Cache::new(cfg).unwrap();
             for &a in &addrs {
                 cache.access(Access::read(Addr(a * 4), 4, VarClass::Hot));

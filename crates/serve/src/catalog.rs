@@ -103,12 +103,6 @@ enum Slot {
     TooBig,
 }
 
-/// Bytes one packed per-line entry occupies across the three SoA columns
-/// (`u64` line address + `u32` bytes + `u8` meta). Budget accounting uses
-/// `len * ENTRY_BYTES` — a pure function of the recorded trace, so the
-/// Ready/TooBig decision is identical on every shard and every run.
-const ENTRY_BYTES: usize = 13;
-
 /// Counters and footprint of one or more [`TraceCache`]s, summed for the
 /// report. Never serialised into the report JSON.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -164,6 +158,10 @@ impl TraceSink for PackSink<'_> {
 /// Per-shard trace-template cache: one slot per `(phase, tier)`, a byte
 /// budget bounding the recorded arena, and hit/miss counters.
 ///
+/// A recorded block costs its [`AccessBlock::packed_bytes`], a pure
+/// function of the template's trace, so the Ready/TooBig decision is
+/// identical on every shard and every run.
+///
 /// Per-shard (not fleet-global) deliberately: shards execute their waves
 /// in parallel, and a shared cache would need synchronisation on the
 /// hottest path; 39 slots of small packed blocks are cheap enough to
@@ -179,7 +177,7 @@ pub struct TraceCache {
 
 impl TraceCache {
     /// An empty cache whose recorded blocks may use at most
-    /// `budget_bytes` (accounted as `entries × 13` packed bytes).
+    /// `budget_bytes` of [`AccessBlock::packed_bytes`].
     #[must_use]
     pub fn new(budget_bytes: usize) -> TraceCache {
         TraceCache {
@@ -195,9 +193,10 @@ impl TraceCache {
     /// restores the slot's batch-head snapshot when `engine` is pristine
     /// (taking the snapshot on the first such hit) and replays the
     /// recorded block otherwise; it records on first use, and generates
-    /// fresh (via `scratch`, chunked) for over-budget templates.
-    /// Counter-identical to streaming `catalog.get(phase, tier)` through
-    /// a [`BatchSink`].
+    /// fresh (via `scratch`, chunked) for over-budget templates. With no
+    /// budget left, a first use goes straight to that chunked path and
+    /// records nothing. Counter-identical to streaming
+    /// `catalog.get(phase, tier)` through a [`BatchSink`].
     pub fn execute(
         &mut self,
         catalog: &ServingCatalog,
@@ -207,6 +206,9 @@ impl TraceCache {
         scratch: &mut AccessBlock,
     ) {
         let idx = slot_index(phase, tier);
+        if matches!(self.slots[idx], Slot::Empty) && self.used_bytes >= self.budget_bytes {
+            self.slots[idx] = Slot::TooBig;
+        }
         match &mut self.slots[idx] {
             Slot::Ready { block, head } => {
                 self.hits += 1;
@@ -233,7 +235,7 @@ impl TraceCache {
                 let mut recording = AccessBlock::new(engine.cache().config().line_bytes);
                 catalog.get(phase, tier).trace(&mut PackSink { block: &mut recording });
                 engine.commit_block(&recording);
-                let cost = recording.len() * ENTRY_BYTES;
+                let cost = recording.packed_bytes();
                 if self.used_bytes + cost <= self.budget_bytes {
                     self.used_bytes += cost;
                     self.slots[idx] = Slot::Ready { block: recording, head: None };

@@ -109,9 +109,9 @@ fn batch_head_snapshot_falls_back_on_another_geometry() {
     }
 }
 
-/// A zero-budget cache can never go Ready: every leg generates fresh
-/// (first use via the recording commit, afterwards via the chunked
-/// `TooBig` path) and still matches plain `BatchSink` generation.
+/// A zero-budget cache can never go Ready: every leg, the first use
+/// included, generates fresh through the chunked `TooBig` path and still
+/// matches plain `BatchSink` generation.
 #[test]
 fn over_budget_slots_still_match_fresh_generation() {
     let catalog = ServingCatalog::paper_default();

@@ -1,10 +1,10 @@
 //! Explore the Section-2 tiling space: how the k-NN bandwidth requirement
-//! responds to tile size, cache capacity and replacement policy.
+//! responds to tile size and cache capacity.
 //!
 //! Run with: `cargo run --release --example locality_explorer`
 
 use pudiannao::memsim::kernels::{knn, run_fresh};
-use pudiannao::memsim::{CacheConfig, ReplacementPolicy};
+use pudiannao::memsim::CacheConfig;
 
 fn main() {
     let shape = knn::DistanceShape { testing: 128, reference: 1024, features: 32 };
@@ -30,13 +30,6 @@ fn main() {
         let u = run_fresh(&knn::Untiled { shape }, &cfg).report();
         let t = run_fresh(&knn::Tiled::bandwidth(shape, 32, 32), &cfg).report();
         println!("  {:<8} {:>12.3} {:>12.1}", kib, t.gb_per_s(), t.reduction_vs(&u));
-    }
-
-    println!("\nreplacement-policy comparison (32x32 tiles, 32 KB):");
-    for policy in [ReplacementPolicy::Lru, ReplacementPolicy::Fifo] {
-        let cfg = CacheConfig { replacement: policy, ..base.clone() };
-        let t = run_fresh(&knn::Tiled::bandwidth(shape, 32, 32), &cfg).report();
-        println!("  {policy:?}: {t}");
     }
 
     println!(

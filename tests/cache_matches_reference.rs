@@ -7,7 +7,7 @@
 //! simulator started from: one `Vec<Vec<RefLine>>` of per-set line
 //! structs, a linear scan per access, and a first-invalid-then-lowest-stamp
 //! victim. Comparing [`Cache::line_states`] snapshots, not just counters,
-//! pins every victim choice and every LRU/FIFO stamp, so a shortcut that
+//! pins every victim choice and every LRU stamp, so a shortcut that
 //! changed one replacement decision fails here even when the aggregate
 //! statistics happen to agree.
 //!
@@ -16,46 +16,35 @@
 //!   way scan beyond, the tree victim select for 2/4/8 and the generic one
 //!   otherwise;
 //! - 1, 2, 4 and 8 sets;
-//! - 1-, 16- and 64-byte lines (1-byte lines switch off the SoA pass's line
-//!   buffer);
-//! - LRU and FIFO, each with write-back and with write-around.
+//! - 2-, 16- and 64-byte lines (2 bytes is the smallest line
+//!   [`CacheConfig::validate`] accepts).
 //!
 //! Accesses of 0–96 bytes fall in a window of [`WINDOW_LINES`] lines, so
 //! they cross lines and the small caches recycle slots constantly.
 
 use proptest::prelude::*;
 use pudiannao::memsim::{
-    Access, AccessBlock, AccessKind, Addr, Cache, CacheConfig, CacheStats, ReplacementPolicy,
-    ReuseProfiler, SimdEngine, VarClass, WritePolicy,
+    Access, AccessBlock, AccessKind, Addr, Cache, CacheConfig, CacheStats, ReuseProfiler,
+    SimdEngine, VarClass,
 };
 
 const WAYS: [u32; 8] = [1, 2, 3, 4, 5, 8, 16, 24];
 const SETS: [u32; 4] = [1, 2, 4, 8];
-const LINE_BYTES: [u32; 3] = [1, 16, 64];
+const LINE_BYTES: [u32; 3] = [2, 16, 64];
 const CLASSES: [VarClass; 4] = [VarClass::Hot, VarClass::Cold, VarClass::Output, VarClass::Stream];
 /// Lines an access may start in. The largest geometry holds 192 lines
 /// and the smallest one, so some caches hold the whole window and others
 /// thrash.
 const WINDOW_LINES: u64 = 48;
 
-/// Every geometry of the module docs, 384 in all.
+/// Every geometry of the module docs, 96 in all.
 fn every_geometry() -> impl Iterator<Item = CacheConfig> {
-    let policies = [
-        (ReplacementPolicy::Lru, WritePolicy::WriteBackAllocate),
-        (ReplacementPolicy::Lru, WritePolicy::WriteAroundNoAllocate),
-        (ReplacementPolicy::Fifo, WritePolicy::WriteBackAllocate),
-        (ReplacementPolicy::Fifo, WritePolicy::WriteAroundNoAllocate),
-    ];
-    WAYS.into_iter().flat_map(move |ways| {
+    WAYS.into_iter().flat_map(|ways| {
         SETS.into_iter().flat_map(move |sets| {
-            LINE_BYTES.into_iter().flat_map(move |line_bytes| {
-                policies.into_iter().map(move |(replacement, write_policy)| CacheConfig {
-                    capacity_bytes: line_bytes * ways * sets,
-                    line_bytes,
-                    ways,
-                    replacement,
-                    write_policy,
-                })
+            LINE_BYTES.into_iter().map(move |line_bytes| CacheConfig {
+                capacity_bytes: line_bytes * ways * sets,
+                line_bytes,
+                ways,
             })
         })
     })
@@ -70,7 +59,8 @@ struct RefLine {
 }
 
 /// The reference cache: per-set line vectors, a linear scan per touched
-/// line, no line buffer and no packed signature.
+/// line, no line buffer and no packed signature. LRU, write-back,
+/// write-allocate.
 struct RefCache {
     cfg: CacheConfig,
     sets: Vec<Vec<RefLine>>,
@@ -111,11 +101,11 @@ impl RefCache {
         let (start, end) = ref_line_span(a, self.line_shift);
         for line_addr in start..=end {
             self.tick += 1;
-            self.access_line(line_addr, a.kind, a.bytes);
+            self.access_line(line_addr, a.kind);
         }
     }
 
-    fn access_line(&mut self, line_addr: u64, kind: AccessKind, bytes: u32) {
+    fn access_line(&mut self, line_addr: u64, kind: AccessKind) {
         let line_bytes = u64::from(self.cfg.line_bytes);
         let tag = line_addr >> self.set_bits;
         let set = &mut self.sets[(line_addr & self.set_mask) as usize];
@@ -124,40 +114,18 @@ impl RefCache {
                 AccessKind::Read => self.stats.read_hits += 1,
                 AccessKind::Write => {
                     self.stats.write_hits += 1;
-                    match self.cfg.write_policy {
-                        WritePolicy::WriteBackAllocate => line.dirty = true,
-                        WritePolicy::WriteAroundNoAllocate => {
-                            self.stats.offchip_write_bytes += u64::from(bytes).min(line_bytes);
-                        }
-                    }
+                    line.dirty = true;
                 }
             }
-            if self.cfg.replacement == ReplacementPolicy::Lru {
-                line.stamp = self.tick;
-            }
+            line.stamp = self.tick;
             return;
         }
-        let fill_dirty = match kind {
-            AccessKind::Read => {
-                self.stats.read_misses += 1;
-                self.stats.offchip_read_bytes += line_bytes;
-                false
-            }
-            AccessKind::Write => {
-                self.stats.write_misses += 1;
-                match self.cfg.write_policy {
-                    WritePolicy::WriteBackAllocate => {
-                        // Fetch-on-write then dirty the line.
-                        self.stats.offchip_read_bytes += line_bytes;
-                        true
-                    }
-                    WritePolicy::WriteAroundNoAllocate => {
-                        self.stats.offchip_write_bytes += u64::from(bytes).min(line_bytes);
-                        return; // no allocation
-                    }
-                }
-            }
-        };
+        match kind {
+            AccessKind::Read => self.stats.read_misses += 1,
+            AccessKind::Write => self.stats.write_misses += 1,
+        }
+        // Both kinds fetch the line; a store then dirties it.
+        self.stats.offchip_read_bytes += line_bytes;
         // First invalid way, else the first way with the lowest stamp.
         let victim = set.iter().position(|l| !l.valid).unwrap_or_else(|| {
             set.iter().enumerate().min_by_key(|(w, l)| (l.stamp, *w)).expect("ways is non-zero").0
@@ -169,7 +137,8 @@ impl RefCache {
                 self.stats.offchip_write_bytes += line_bytes;
             }
         }
-        *line = RefLine { tag, valid: true, dirty: fill_dirty, stamp: self.tick };
+        let dirty = kind == AccessKind::Write;
+        *line = RefLine { tag, valid: true, dirty, stamp: self.tick };
     }
 
     fn line_states(&self) -> LineStates {
@@ -254,13 +223,13 @@ fn pack_blocks(ops: &[Vec<Access>], line_bytes: u32, flushes: &[usize]) -> Vec<A
 }
 
 /// The per-line entries of `ops` split in the reference's own code.
-fn ref_entries(ops: &[Vec<Access>], line_bytes: u32) -> Vec<(u64, u32, AccessKind, VarClass)> {
+fn ref_entries(ops: &[Vec<Access>], line_bytes: u32) -> Vec<(u64, AccessKind, VarClass)> {
     let shift = line_bytes.trailing_zeros();
     let mut out = Vec::new();
     for a in ops.iter().flatten() {
         let (start, end) = ref_line_span(a, shift);
         for line in start..=end {
-            out.push((line, a.bytes, a.kind, a.class));
+            out.push((line, a.kind, a.class));
         }
     }
     out
@@ -283,9 +252,8 @@ proptest! {
     }
 
     /// [`Cache::access_soa`] matches the reference over the ops packed
-    /// into several blocks flushed at random op counts, and over one
-    /// block spliced from them with `extend_from_block`, which equals the
-    /// ops packed into one block.
+    /// into several blocks flushed at random op counts, and over the ops
+    /// packed into one block.
     #[test]
     fn soa_blocks_match_reference(
         ops in any_ops(120),
@@ -294,18 +262,14 @@ proptest! {
         for cfg in every_geometry() {
             let ops = fit(&ops, &cfg);
             let want = reference(&cfg, &ops);
-            let blocks = pack_blocks(&ops, cfg.line_bytes, &flushes);
             let mut cache = Cache::new(cfg.clone()).unwrap();
-            let mut spliced = AccessBlock::new(cfg.line_bytes);
-            for block in &blocks {
+            for block in &pack_blocks(&ops, cfg.line_bytes, &flushes) {
                 cache.access_soa(block);
-                spliced.extend_from_block(block);
             }
             assert_matches(&cache, &want, "access_soa over flushed blocks");
-            prop_assert_eq!(&spliced, &pack_blocks(&ops, cfg.line_bytes, &[ops.len()])[0]);
             let mut cache = Cache::new(cfg.clone()).unwrap();
-            cache.access_soa(&spliced);
-            assert_matches(&cache, &want, "access_soa over a spliced block");
+            cache.access_soa(&pack_blocks(&ops, cfg.line_bytes, &[ops.len()])[0]);
+            assert_matches(&cache, &want, "access_soa over one block");
         }
     }
 
@@ -405,8 +369,8 @@ fn accesses_stop_at_the_top_of_the_address_space() {
     let store = Access::write(Addr(u64::MAX - 1), 4, VarClass::Output);
     let ops = vec![vec![top], vec![Access::read(Addr(0), 8, VarClass::Hot), store], vec![top]];
     for cfg in every_geometry() {
-        // The top access touches 4 one-byte lines, or the one top line.
-        let lines = if cfg.line_bytes == 1 { 4 } else { 1 };
+        // The top access touches 2 two-byte lines, or the one top line.
+        let lines = if cfg.line_bytes == 2 { 2 } else { 1 };
         let want = reference(&cfg, &ops[..1]);
         assert_eq!(want.stats.accesses(), lines, "{cfg:?}");
 
