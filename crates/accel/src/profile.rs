@@ -18,9 +18,8 @@
 //!   utilisation breakdown behind the verdict ([`PhaseAnalysis`]).
 //! - [`validate_timeline`] structurally checks an exported timeline
 //!   (begin/end balance, per-track monotonicity) — the guard used by the
-//!   property tests and `scripts/check.sh --profile`;
-//!   [`export_timeline`] writes a timeline and validates the file it
-//!   wrote.
+//!   property tests; [`export_timeline`] writes a timeline and validates
+//!   the file it wrote.
 //!
 //! Apart from that one writer, everything here is a pure function over
 //! already-collected reports: profiling a run costs nothing beyond the

@@ -32,7 +32,7 @@
 //! let report = accel.run(&program, &mut Dram::new(1 << 20))?;
 //! let trace = report.trace.as_ref().expect("tracing was enabled");
 //! assert_eq!(trace.hotbuf.write_elems, 16); // the DMA fill
-//! assert!(!trace.events().is_empty());
+//! assert!(trace.events_iter().next().is_some());
 //! assert!(report.to_json().to_string().contains("stage_cycles"));
 //! # Ok::<(), pudiannao_accel::Error>(())
 //! ```
@@ -392,18 +392,9 @@ impl TraceReport {
         }
     }
 
-    /// The recorded events, oldest first (at most the configured
-    /// capacity; older events beyond it are dropped and counted).
-    ///
-    /// Allocates a fresh `Vec`; prefer [`TraceReport::events_iter`] when a
-    /// pass over the ring is all that's needed.
-    #[must_use]
-    pub fn events(&self) -> Vec<TraceEvent> {
-        self.events_iter().copied().collect()
-    }
-
-    /// Borrowing iterator over the recorded events, oldest first — the
-    /// same order as [`TraceReport::events`] without cloning the ring.
+    /// Borrowing iterator over the recorded events, oldest first (at most
+    /// the configured capacity; older events beyond it are dropped and
+    /// counted).
     pub fn events_iter(&self) -> impl Iterator<Item = &TraceEvent> + Clone + '_ {
         self.events.events_iter()
     }
@@ -633,10 +624,10 @@ mod tests {
         for i in 0..5 {
             t.push_event(TraceEvent::Issue { inst: i, cycle: i });
         }
-        let events = t.events();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0], TraceEvent::Issue { inst: 3, cycle: 3 });
-        assert_eq!(events[1], TraceEvent::Issue { inst: 4, cycle: 4 });
+        assert!(t.events_iter().copied().eq([
+            TraceEvent::Issue { inst: 3, cycle: 3 },
+            TraceEvent::Issue { inst: 4, cycle: 4 },
+        ]));
         assert_eq!(t.events_dropped(), 3);
     }
 
@@ -644,7 +635,7 @@ mod tests {
     fn counters_only_config_drops_all_events() {
         let mut t = TraceReport::new(&TraceConfig::counters());
         t.push_event(TraceEvent::Retire { inst: 0, cycle: 1 });
-        assert!(t.events().is_empty());
+        assert_eq!(t.events_iter().count(), 0);
         assert_eq!(t.events_dropped(), 0);
     }
 
@@ -652,7 +643,7 @@ mod tests {
     fn zero_capacity_ring_counts_drops() {
         let mut t = TraceReport::new(&TraceConfig::with_event_capacity(0));
         t.push_event(TraceEvent::Retire { inst: 0, cycle: 1 });
-        assert!(t.events().is_empty());
+        assert_eq!(t.events_iter().count(), 0);
         assert_eq!(t.events_dropped(), 1);
     }
 

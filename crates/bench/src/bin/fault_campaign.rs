@@ -1,44 +1,29 @@
 //! Seeded fault-injection campaign across the seven ML kernels; see
 //! `pudiannao_bench::fault_campaign`.
 //!
-//! Usage: `fault_campaign [--smoke] [--out PATH]`. Writes the campaign
-//! report (default `fault_campaign.json`) and prints per-class outcome
-//! totals. The report is a pure function of the built-in seed:
-//! byte-identical at any `REPRO_THREADS` setting.
+//! Usage: `fault_campaign` (no arguments; any argument exits 2 and writes
+//! nothing). Writes `fault_campaign.json` to the working directory and
+//! prints per-class outcome totals; an unwritable report path fails the
+//! run before any trial. The report is a pure function of the built-in
+//! seed: byte-identical at any `REPRO_THREADS` setting.
 
-use std::path::PathBuf;
+use pudiannao_accel::json;
+use pudiannao_bench::fault_campaign::{run_campaign, OutcomeCounts};
 
-use pudiannao_bench::fault_campaign::{run_campaign, CampaignConfig};
+/// The report this binary writes.
+const REPORT: &str = "fault_campaign.json";
 
 fn main() {
-    let mut smoke = false;
-    let mut out = PathBuf::from("fault_campaign.json");
-    let mut args = std::env::args_os().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.to_str() {
-            Some("--smoke") => smoke = true,
-            Some("--out") => match args.next() {
-                Some(path) => out = path.into(),
-                None => {
-                    eprintln!("error: --out needs a path");
-                    std::process::exit(2);
-                }
-            },
-            _ => {
-                eprintln!("error: unknown argument {arg:?} (expected --smoke / --out PATH)");
-                std::process::exit(2);
-            }
-        }
+    if let Some(arg) = std::env::args_os().nth(1) {
+        eprintln!("error: unexpected argument {arg:?} (usage: fault_campaign, no arguments)");
+        std::process::exit(2);
     }
+    or_exit(json::check_writable(REPORT));
 
-    let config = if smoke { CampaignConfig::smoke() } else { CampaignConfig::full() };
-    pudiannao_bench::banner(
-        "faults",
-        if smoke { "fault-injection smoke campaign" } else { "fault-injection campaign" },
-    );
-    let (json, totals) = run_campaign(&config);
+    pudiannao_bench::banner("faults", "fault-injection campaign");
+    let (doc, totals) = run_campaign();
 
-    let mut all = pudiannao_bench::fault_campaign::OutcomeCounts::default();
+    let mut all = OutcomeCounts::default();
     for (arm, counts) in &totals {
         println!(
             "  {arm:<12} masked {:>4}  corrected {:>4}  detected {:>4}  sdc {:>4}  crash {:>4}",
@@ -52,9 +37,13 @@ fn main() {
     println!("[faults] sdc {}", all.sdc);
     println!("[faults] crash {}", all.crash);
 
-    if let Err(e) = pudiannao_accel::json::write_file(&out, &json) {
+    or_exit(json::write_file(REPORT, &doc));
+    println!("  wrote {REPORT}");
+}
+
+fn or_exit(result: Result<(), String>) {
+    if let Err(e) = result {
         eprintln!("error: {e}");
         std::process::exit(1);
     }
-    println!("  wrote {}", out.display());
 }

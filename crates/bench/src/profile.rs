@@ -3,7 +3,8 @@
 //!
 //! The `profile` binary writes only `trace_timeline.json` (Chrome Trace
 //! Event JSON from [`pudiannao_accel::profile::chrome_trace`]) and prints
-//! the [`summary`] table; `scripts/check.sh --profile` pins both.
+//! the [`summary`] table; the tier-1 test
+//! `profile_outputs_are_identical_at_any_thread_count` pins both.
 //!
 //! Everything here is a pure function of the built-in workloads and the
 //! paper configuration: no wall-clock, no randomness, so every output is

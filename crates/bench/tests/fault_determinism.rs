@@ -1,30 +1,17 @@
-//! The fault campaign must be a pure function of its seed: the JSON
-//! report is byte-identical whether the cells run on one worker or many.
+//! The fault campaign is a pure function of its seed: `fault_campaign`
+//! writes the committed `fault_campaign.json` byte for byte whether the
+//! cells run on one worker or many.
 
 use std::process::Command;
 
-fn run_campaign(threads: &str, out: &std::path::Path) -> Vec<u8> {
-    let status = Command::new(env!("CARGO_BIN_EXE_fault_campaign"))
-        .args(["--smoke", "--out"])
-        .arg(out)
-        .env("REPRO_THREADS", threads)
-        .status()
-        .expect("fault_campaign binary runs");
-    assert!(status.success(), "campaign failed with REPRO_THREADS={threads}");
-    std::fs::read(out).expect("campaign wrote its report")
-}
+#[path = "../../serve/tests/common/mod.rs"]
+mod common;
 
 #[test]
 fn campaign_json_is_identical_at_any_thread_count() {
-    let dir = std::env::temp_dir().join(format!("fault_determinism_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let serial = run_campaign("1", &dir.join("serial.json"));
-    let parallel = run_campaign("4", &dir.join("parallel.json"));
-    let again = run_campaign("4", &dir.join("again.json"));
-    assert!(!serial.is_empty());
-    assert_eq!(serial, parallel, "worker count changed the campaign bytes");
-    assert_eq!(parallel, again, "repeated run changed the campaign bytes");
-    let _ = std::fs::remove_dir_all(&dir);
+    let [one, four] =
+        common::full_runs(env!("CARGO_BIN_EXE_fault_campaign"), &["fault_campaign.json"], &[]);
+    assert_eq!(one, four, "stdout differs between REPRO_THREADS=1 and 4");
 }
 
 #[test]
@@ -32,8 +19,7 @@ fn invalid_repro_threads_warns_but_still_runs() {
     let dir = std::env::temp_dir().join(format!("fault_threads_warn_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let out = Command::new(env!("CARGO_BIN_EXE_fault_campaign"))
-        .args(["--smoke", "--out"])
-        .arg(dir.join("warned.json"))
+        .current_dir(&dir)
         .env("REPRO_THREADS", "lots")
         .output()
         .expect("fault_campaign binary runs");

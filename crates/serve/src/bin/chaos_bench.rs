@@ -1,39 +1,41 @@
 //! Chaos benchmark: sweeps fault intensity x defence configuration over
-//! the pinned gate stream and writes `chaos_report.json`.
+//! the pinned gate stream and writes `chaos_report.json`, then exports the
+//! fleet timeline of one observed cell to `serve_timeline.json`, both in
+//! the working directory.
 //!
-//! ```text
-//! chaos_bench [--smoke] [--out PATH] [--trace] [--trace-out PATH]
-//! ```
+//! Usage: `chaos_bench` (no arguments; any argument exits 2 and writes
+//! nothing). Both output paths are checked before the sweep starts, so an
+//! unwritable one fails the run at once.
 //!
 //! The sweep first measures the chaos-off p99 on the same stream (the
 //! anchor every deadline, backoff and hedge delay derives from), then
 //! runs three fault intensities (low/mid/high) against three defence
 //! arms: `none` (deadline accounting only), `retries` (bounded retries
 //! with exponential backoff), and `full` (retries + hedging +
-//! quarantine). Lines tagged `[chaos]` are pinned by
-//! `scripts/check.sh --chaos`; the JSON file is compared byte-for-byte
-//! across `REPRO_THREADS` settings.
+//! quarantine).
 //!
 //! The binary enforces the headline claim: at every swept intensity the
 //! fully defended arm must attain a strictly higher overall SLO
 //! per-mille than the undefended arm, or the run exits non-zero.
 //!
-//! `--trace` re-runs the mid-intensity/full-defence cell with the
-//! observability layer on and writes its fleet timeline (Chrome trace
-//! JSON, openable in `chrome://tracing` or Perfetto) to `--trace-out`
-//! (default `serve_timeline.json`). The sweep itself stays untraced, so
-//! `chaos_report.json` is byte-identical with or without `--trace`.
-//! Lines tagged `[trace]` are pinned by `scripts/check.sh
-//! --serve-trace`.
-
-use std::path::PathBuf;
+//! After the sweep, the mid-intensity/full-defence cell runs once more
+//! with the observability layer on, and its fleet timeline (Chrome trace
+//! JSON, openable in `chrome://tracing` or Perfetto) goes to
+//! `serve_timeline.json`. The sweep itself stays untraced, so
+//! `chaos_report.json` does not depend on the observed run. Both files
+//! and stdout are byte-identical at any `REPRO_THREADS` setting; the
+//! tier-1 test `chaos_report_is_byte_identical_across_worker_counts` pins
+//! the report to the committed file and pins the `[trace]` lines.
 
 use pudiannao_accel::json::{self, Value};
 use pudiannao_accel::profile::export_timeline;
 use pudiannao_serve::sweep::{chaos_fleet, chaos_sweep, gate_generator, ChaosCell, CHAOS_SEED};
-use pudiannao_serve::{
-    fleet_timeline, serve, serve_observed, ChaosConfig, Defense, GeneratorConfig, ObserveConfig,
-};
+use pudiannao_serve::{fleet_timeline, serve, serve_observed, ChaosConfig, Defense, ObserveConfig};
+
+/// The sweep's report.
+const REPORT: &str = "chaos_report.json";
+/// The observed cell's fleet timeline.
+const TIMELINE: &str = "serve_timeline.json";
 
 fn print_cell(cell: &ChaosCell) {
     let res = cell.report.resilience.as_ref().expect("chaos cells are resilient runs");
@@ -64,48 +66,19 @@ fn print_cell(cell: &ChaosCell) {
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut trace = false;
-    let mut out = PathBuf::from("chaos_report.json");
-    let mut trace_out = PathBuf::from("serve_timeline.json");
-    let mut args = std::env::args_os().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.to_str() {
-            Some("--smoke") => smoke = true,
-            Some("--trace") => trace = true,
-            Some("--out") => {
-                out = args.next().map(PathBuf::from).unwrap_or_else(|| {
-                    eprintln!("error: --out needs a path");
-                    std::process::exit(2);
-                });
-            }
-            Some("--trace-out") => {
-                trace_out = args.next().map(PathBuf::from).unwrap_or_else(|| {
-                    eprintln!("error: --trace-out needs a path");
-                    std::process::exit(2);
-                });
-            }
-            _ => {
-                eprintln!(
-                    "error: unknown argument {arg:?} (usage: chaos_bench [--smoke] [--out PATH] \
-                     [--trace] [--trace-out PATH])"
-                );
-                std::process::exit(2);
-            }
-        }
+    if let Some(arg) = std::env::args_os().nth(1) {
+        eprintln!("error: unexpected argument {arg:?} (usage: chaos_bench, no arguments)");
+        std::process::exit(2);
     }
-
-    let mode = if smoke { "smoke" } else { "full" };
-    let gen = if smoke {
-        GeneratorConfig { requests: 2_000, ..gate_generator() }
-    } else {
-        gate_generator()
-    };
+    for path in [REPORT, TIMELINE] {
+        or_exit(json::check_writable(path));
+    }
+    let gen = gate_generator();
 
     // Anchor: the chaos-off p99 of the same stream on the same fleet.
     let baseline = serve(&chaos_fleet(), &gen);
     let p99 = baseline.p99_ns;
-    println!("[chaos] mode {mode}");
+    println!("[chaos] mode full");
     println!("[chaos] baseline_p99_ns {p99}");
 
     let cells = chaos_sweep(&gen, p99);
@@ -143,49 +116,48 @@ fn main() {
         arr.push(cell.to_json());
     }
     let doc = Value::object()
-        .with("mode", mode)
+        .with("mode", "full")
         .with("chaos_seed", CHAOS_SEED)
         .with("baseline_p99_ns", p99)
         .with("cells", arr);
-    if let Err(e) = json::write_file(&out, &doc) {
+    or_exit(json::write_file(REPORT, &doc));
+    println!("[chaos] wrote {REPORT}");
+
+    // One extra run of the mid-intensity/full-defence cell with spans and
+    // windowed metrics on. The sweep above ran untraced, so the report
+    // does not depend on it.
+    let traced = serve_observed(
+        &chaos_fleet(),
+        &gen,
+        &ChaosConfig::intensity(CHAOS_SEED, 1),
+        &Defense::full(p99),
+        &ObserveConfig::full(gen.requests),
+    );
+    let timeline = fleet_timeline(&traced).expect("observed run carries a trace");
+    let check = export_timeline(&timeline, TIMELINE).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(1);
-    }
-    println!("[chaos] wrote {}", out.display());
-
-    // `--trace`: one extra run of the mid-intensity/full-defence cell
-    // with spans and windowed metrics on. The sweep above already ran
-    // untraced, so the report file is byte-identical either way.
-    if trace {
-        let traced = serve_observed(
-            &chaos_fleet(),
-            &gen,
-            &ChaosConfig::intensity(CHAOS_SEED, 1),
-            &Defense::full(p99),
-            &ObserveConfig::full(gen.requests),
-        );
-        let timeline = fleet_timeline(&traced).expect("observed run carries a trace");
-        let check = export_timeline(&timeline, &trace_out).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        });
-        let obs = traced.observability.as_ref().expect("observed run carries observability");
-        let metrics = obs.metrics.as_ref().expect("observed run carries metrics");
-        println!("[trace] cell mid full");
-        println!(
-            "[trace] spans {} instants {} tracks {}",
-            check.spans, check.instants, check.tracks
-        );
-        println!("[trace] events_dropped {}", obs.events_dropped);
-        println!(
-            "[trace] windows {} windowed_p99_max_ns {}",
-            metrics.windows.len(),
-            metrics.windowed_p99_max_ns
-        );
-        println!("[trace] wrote {}", trace_out.display());
-    }
+    });
+    let obs = traced.observability.as_ref().expect("observed run carries observability");
+    let metrics = obs.metrics.as_ref().expect("observed run carries metrics");
+    println!("[trace] cell mid full");
+    println!("[trace] spans {} instants {} tracks {}", check.spans, check.instants, check.tracks);
+    println!("[trace] events_dropped {}", obs.events_dropped);
+    println!(
+        "[trace] windows {} windowed_p99_max_ns {}",
+        metrics.windows.len(),
+        metrics.windowed_p99_max_ns
+    );
+    println!("[trace] wrote {TIMELINE}");
 
     if !ok {
+        std::process::exit(1);
+    }
+}
+
+fn or_exit(result: Result<(), String>) {
+    if let Err(e) = result {
+        eprintln!("error: {e}");
         std::process::exit(1);
     }
 }

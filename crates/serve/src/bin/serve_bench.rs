@@ -1,28 +1,27 @@
-//! Serving-fleet benchmark: drives an open-loop request stream through a
-//! pool of simulated PuDianNao devices and writes `serve_report.json`.
+//! Serving-fleet benchmark: drives the heavy open-loop request stream
+//! (100k requests) through a 4-shard pool of simulated PuDianNao devices,
+//! runs the 1/2/4/8-shard scaling sweep, and writes `serve_report.json`
+//! to the working directory.
 //!
-//! ```text
-//! serve_bench [--smoke] [--out PATH]
-//! ```
-//!
-//! Default mode runs the heavy 100k-request stream on a 4-shard fleet
-//! plus the 1/2/4/8-shard scaling sweep; `--smoke` runs the scaled-down
-//! CI stream (4k requests, 2 shards, no sweep). Lines tagged `[serve]`
-//! are pinned by `scripts/check.sh --serve`; the JSON file is compared
-//! byte-for-byte across `REPRO_THREADS` settings. `chaos_bench --trace`
-//! writes the fleet timeline.
-
-use std::path::PathBuf;
+//! Usage: `serve_bench` (no arguments; any argument exits 2 and writes
+//! nothing). An unwritable report path fails the run before the fleet
+//! starts. The report is byte-identical at any `REPRO_THREADS` setting;
+//! the tier-1 test `report_is_byte_identical_across_worker_counts` pins
+//! it to the committed file and pins the `[serve] trace_cache` line.
+//! `chaos_bench` writes the fleet timeline.
 
 use pudiannao_accel::json::{self, Value};
 use pudiannao_serve::{scaling_sweep, serve, sweep, FleetConfig, GeneratorConfig, ServeReport};
 
-/// Seed for the default request stream (arbitrary but pinned: the smoke
-/// counts in `scripts/check.sh` and the determinism test depend on it).
+/// The report this binary writes.
+const REPORT: &str = "serve_report.json";
+
+/// Seed of the heavy request stream (arbitrary but pinned: the committed
+/// `serve_report.json` depends on it).
 const STREAM_SEED: u64 = 0xd1a0_2015;
 
-fn print_summary(mode: &str, report: &ServeReport) {
-    println!("[serve] mode {mode}");
+fn print_summary(report: &ServeReport) {
+    println!("[serve] mode heavy");
     println!("[serve] shards {}", report.shards_configured);
     println!("[serve] offered {}", report.counters.offered);
     println!("[serve] admitted {}", report.counters.admitted);
@@ -36,7 +35,8 @@ fn print_summary(mode: &str, report: &ServeReport) {
     );
     println!("[serve] throughput_rps {:.1}", report.throughput_rps);
     // Deterministic (slot decisions depend only on the trace shapes and
-    // the byte budget), so check.sh pins this line like the counters.
+    // the byte budget), and no report holds it, so the tier-1 test pins
+    // this line.
     if let Some(tc) = &report.trace_cache {
         println!(
             "[serve] trace_cache hits {} misses {} hit_permille {} resident_kb {} ready {} \
@@ -58,54 +58,34 @@ fn print_summary(mode: &str, report: &ServeReport) {
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut out = PathBuf::from("serve_report.json");
-    let mut args = std::env::args_os().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.to_str() {
-            Some("--smoke") => smoke = true,
-            Some("--out") => {
-                out = args.next().map(PathBuf::from).unwrap_or_else(|| {
-                    eprintln!("error: --out needs a path");
-                    std::process::exit(2);
-                });
-            }
-            _ => {
-                eprintln!(
-                    "error: unknown argument {arg:?} (usage: serve_bench [--smoke] [--out PATH])"
-                );
-                std::process::exit(2);
-            }
-        }
+    if let Some(arg) = std::env::args_os().nth(1) {
+        eprintln!("error: unexpected argument {arg:?} (usage: serve_bench, no arguments)");
+        std::process::exit(2);
     }
+    or_exit(json::check_writable(REPORT));
 
-    let (gen, fleet, mode) = if smoke {
-        (GeneratorConfig::smoke(STREAM_SEED), FleetConfig::with_shards(2), "smoke")
-    } else {
-        (GeneratorConfig::heavy(STREAM_SEED), FleetConfig::paper_default(), "heavy")
-    };
+    let report = serve(&FleetConfig::paper_default(), &GeneratorConfig::heavy(STREAM_SEED));
+    print_summary(&report);
 
-    let report = serve(&fleet, &gen);
-    print_summary(mode, &report);
-
-    let mut doc = Value::object().with("mode", mode).with("report", report.to_json());
-    if !smoke {
-        let points = scaling_sweep(&sweep::gate_generator());
-        let mut arr = Value::array(Vec::new());
-        for p in &points {
-            println!(
-                "[serve] sweep shards {} completed {} throughput_rps {:.1} p99_ns {} \
-                 util_permille {}",
-                p.shards, p.completed, p.throughput_rps, p.p99_ns, p.util_permille
-            );
-            arr.push(p.to_json());
-        }
-        doc.set("scaling_sweep", arr);
+    let mut sweep_json = Value::array(Vec::new());
+    for p in &scaling_sweep(&sweep::gate_generator()) {
+        println!(
+            "[serve] sweep shards {} completed {} throughput_rps {:.1} p99_ns {} util_permille {}",
+            p.shards, p.completed, p.throughput_rps, p.p99_ns, p.util_permille
+        );
+        sweep_json.push(p.to_json());
     }
+    let doc = Value::object()
+        .with("mode", "heavy")
+        .with("report", report.to_json())
+        .with("scaling_sweep", sweep_json);
+    or_exit(json::write_file(REPORT, &doc));
+    println!("[serve] wrote {REPORT}");
+}
 
-    if let Err(e) = json::write_file(&out, &doc) {
+fn or_exit(result: Result<(), String>) {
+    if let Err(e) = result {
         eprintln!("error: {e}");
         std::process::exit(1);
     }
-    println!("[serve] wrote {}", out.display());
 }

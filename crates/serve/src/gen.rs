@@ -82,7 +82,8 @@ impl GeneratorConfig {
         }
     }
 
-    /// A scaled-down stream for CI smoke runs and the determinism test.
+    /// A scaled-down heavy stream (4k requests) for unit and property
+    /// tests.
     #[must_use]
     pub fn smoke(seed: u64) -> Self {
         GeneratorConfig { requests: 4_000, ..GeneratorConfig::heavy(seed) }

@@ -70,7 +70,7 @@ pub fn gate_generator() -> GeneratorConfig {
 }
 
 /// Seed of the pinned chaos plans the chaos sweep injects (arbitrary but
-/// fixed: `chaos_report.json` and the `check.sh --chaos` counts pin it).
+/// fixed: the committed `chaos_report.json` pins it).
 pub const CHAOS_SEED: u64 = 0xc4a0_5eed;
 
 /// The defence arms the chaos sweep compares, weakest first.

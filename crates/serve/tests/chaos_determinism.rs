@@ -1,48 +1,33 @@
-//! `chaos_report.json` must be byte-identical whatever `REPRO_THREADS`
-//! says: fault draws are per-shard state probed in dispatch order or
-//! pure hashes of stable identifiers, never shared RNG. This drives the
-//! real `chaos_bench` binary the way CI does, so the artifact on disk is
-//! what's actually guaranteed.
+//! `chaos_bench` writes the committed `chaos_report.json` byte for byte,
+//! and the same `serve_timeline.json`, whatever `REPRO_THREADS` says:
+//! fault draws are per-shard state probed in dispatch order or pure
+//! hashes of stable identifiers, never shared RNG, and every span is
+//! recorded from the sequential wave-order result loop. This drives the
+//! real binary the way a reader runs it, so the files on disk are what's
+//! actually guaranteed.
 
-use std::path::PathBuf;
-use std::process::Command;
-
-fn run_smoke(threads: &str, tag: &str) -> (String, Vec<u8>) {
-    // The path must not encode `threads`: it is echoed on stdout and the
-    // stdout of both runs is compared verbatim. Runs within one test are
-    // sequential, so reusing the file is safe.
-    let out: PathBuf =
-        std::env::temp_dir().join(format!("chaos_determinism_{}_{tag}.json", std::process::id()));
-    let output = Command::new(env!("CARGO_BIN_EXE_chaos_bench"))
-        .args(["--smoke", "--out"])
-        .arg(&out)
-        .env("REPRO_THREADS", threads)
-        .output()
-        .expect("chaos_bench runs");
-    assert!(
-        output.status.success(),
-        "chaos_bench failed with REPRO_THREADS={threads}: {}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    let stdout = String::from_utf8(output.stdout).expect("chaos_bench prints UTF-8");
-    let json = std::fs::read(&out).expect("chaos_bench wrote the report");
-    let _ = std::fs::remove_file(&out);
-    (stdout, json)
-}
+mod common;
 
 #[test]
 fn chaos_report_is_byte_identical_across_worker_counts() {
-    let (stdout1, json1) = run_smoke("1", "workers");
-    let (stdout4, json4) = run_smoke("4", "workers");
-    assert_eq!(json1, json4, "chaos_report.json differs between REPRO_THREADS=1 and 4");
-    // Every [chaos] line is printed from the main thread after the
-    // sweep, so the full transcript must match too.
-    assert_eq!(stdout1, stdout4, "stdout differs between worker counts");
-}
-
-#[test]
-fn repeated_chaos_runs_are_identical() {
-    let (_, first) = run_smoke("4", "repeat_a");
-    let (_, second) = run_smoke("4", "repeat_b");
-    assert_eq!(first, second, "two identical invocations disagreed");
+    let [one, four] = common::full_runs(
+        env!("CARGO_BIN_EXE_chaos_bench"),
+        &["chaos_report.json"],
+        &["serve_timeline.json"],
+    );
+    // Every line is printed from the main thread after the runs.
+    assert_eq!(one, four, "stdout differs between REPRO_THREADS=1 and 4");
+    // The observed cell's timeline shape and windowed p99 are in no
+    // committed file, so they are pinned here.
+    let trace: Vec<&str> = one.lines().filter(|l| l.starts_with("[trace] ")).collect();
+    assert_eq!(
+        trace,
+        [
+            "[trace] cell mid full",
+            "[trace] spans 17801 instants 136 tracks 15",
+            "[trace] events_dropped 0",
+            "[trace] windows 45 windowed_p99_max_ns 270335",
+            "[trace] wrote serve_timeline.json",
+        ]
+    );
 }

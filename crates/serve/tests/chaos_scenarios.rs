@@ -9,8 +9,8 @@ use pudiannao_serve::{
     serve, serve_observed, ChaosConfig, Defense, FleetConfig, GeneratorConfig, ObserveConfig,
 };
 
-/// The smoke-sized slice of the pinned gate stream (same shape and seed,
-/// fewer requests), matching `chaos_bench --smoke`.
+/// The 2k-request slice of the pinned gate stream (same shape and seed,
+/// fewer requests), small enough for a test.
 fn smoke_stream() -> GeneratorConfig {
     GeneratorConfig { requests: 2_000, ..gate_generator() }
 }
@@ -71,7 +71,7 @@ fn quarantine_pulls_a_crash_looping_shard_out_of_the_tail() {
 /// The headline acceptance claim, library-level: at every swept fault
 /// intensity the fully defended arm attains strictly more SLO than the
 /// undefended arm. `chaos_bench` enforces the same invariant end-to-end
-/// on both the smoke and the full 8k stream.
+/// on the full 8k stream.
 #[test]
 fn full_defences_strictly_beat_none_at_every_intensity() {
     let gen = smoke_stream();

@@ -1,41 +1,33 @@
-//! A bad command line is an error line and exit status 2 with nothing
-//! written, never a panic: an unknown flag, a flag missing its value, or
-//! an argument that is not valid UTF-8.
+//! The serving binaries fail cleanly. Each takes no arguments, so any
+//! argument (an unknown flag, a positional, or one that is not valid
+//! UTF-8) is an error line and exit status 2 with nothing written. An
+//! output path it cannot write is an error line naming the file and exit
+//! status 1, found before the fleet runs, with nothing written. Never a
+//! panic.
 
-use std::ffi::OsStr;
-use std::process::Command;
+#[path = "common/cli.rs"]
+mod cli;
 
-/// Runs `exe args` in a fresh directory and asserts the usage-error
-/// contract: exit 2, an `error:` line, no panic, no file written.
-fn assert_usage_error<S: AsRef<OsStr> + std::fmt::Debug>(tag: &str, exe: &str, args: &[S]) {
-    let dir = std::env::temp_dir().join(format!("serve_cli_{}_{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let out = Command::new(exe).args(args).current_dir(&dir).output().expect("binary runs");
-    let written = std::fs::read_dir(&dir).unwrap().count();
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{exe} {args:?}: {stderr}");
-    assert!(stderr.starts_with("error: "), "{exe} {args:?}: {stderr}");
-    assert!(!stderr.contains("panicked"), "{exe} {args:?}: {stderr}");
-    assert_eq!(written, 0, "{exe} {args:?} wrote a file");
+#[test]
+fn unwritable_reports_exit_1_without_panicking() {
+    for (exe, blocked) in [
+        (env!("CARGO_BIN_EXE_serve_bench"), "serve_report.json"),
+        (env!("CARGO_BIN_EXE_chaos_bench"), "chaos_report.json"),
+        (env!("CARGO_BIN_EXE_chaos_bench"), "serve_timeline.json"),
+    ] {
+        cli::assert_unwritable(exe, blocked);
+    }
 }
 
 #[test]
 fn bad_arguments_exit_2_without_panicking_or_writing() {
-    for (i, (exe, args)) in [
+    for (exe, args) in [
         (env!("CARGO_BIN_EXE_serve_bench"), &["--bogus"][..]),
-        (env!("CARGO_BIN_EXE_serve_bench"), &["--trace"]),
-        (env!("CARGO_BIN_EXE_serve_bench"), &["--smoke", "--out"]),
+        (env!("CARGO_BIN_EXE_serve_bench"), &["heavy"]),
         (env!("CARGO_BIN_EXE_chaos_bench"), &["--bogus"]),
-        (env!("CARGO_BIN_EXE_chaos_bench"), &["--smoke", "--out"]),
-        (env!("CARGO_BIN_EXE_chaos_bench"), &["--smoke", "--trace", "--trace-out"]),
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        assert_usage_error(&i.to_string(), exe, args);
+        (env!("CARGO_BIN_EXE_chaos_bench"), &["full", "--bogus"]),
+    ] {
+        cli::assert_usage_error(exe, args);
     }
 }
 
@@ -43,11 +35,8 @@ fn bad_arguments_exit_2_without_panicking_or_writing() {
 #[test]
 fn non_utf8_arguments_exit_2_without_panicking_or_writing() {
     use std::os::unix::ffi::OsStrExt;
-    let bad = OsStr::from_bytes(b"\xff");
-    for (i, exe) in [env!("CARGO_BIN_EXE_serve_bench"), env!("CARGO_BIN_EXE_chaos_bench")]
-        .into_iter()
-        .enumerate()
-    {
-        assert_usage_error(&format!("utf8_{i}"), exe, &[bad]);
+    let bad = std::ffi::OsStr::from_bytes(b"\xff");
+    for exe in [env!("CARGO_BIN_EXE_serve_bench"), env!("CARGO_BIN_EXE_chaos_bench")] {
+        cli::assert_usage_error(exe, &[bad]);
     }
 }

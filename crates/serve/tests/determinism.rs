@@ -1,48 +1,23 @@
-//! `serve_report.json` must be byte-identical whatever `REPRO_THREADS`
-//! says: the fleet's wave execution is the only parallel part, and its
-//! results are committed in wave order. This drives the real binary the
-//! way CI does, rather than poking the library, so the file on disk is
-//! what's actually guaranteed.
+//! `serve_bench` writes the committed `serve_report.json` byte for byte
+//! whatever `REPRO_THREADS` says: the fleet's wave execution is the only
+//! parallel part, and its results are committed in wave order. This
+//! drives the real binary the way a reader runs it, so the file on disk
+//! is what's actually guaranteed.
 
-use std::path::PathBuf;
-use std::process::Command;
-
-fn run_smoke(threads: &str, tag: &str) -> (String, Vec<u8>) {
-    // The path must not encode `threads`: it is echoed on stdout and the
-    // stdout of both runs is compared verbatim. Runs within one test are
-    // sequential, so reusing the file is safe.
-    let out: PathBuf =
-        std::env::temp_dir().join(format!("serve_determinism_{}_{tag}.json", std::process::id()));
-    let output = Command::new(env!("CARGO_BIN_EXE_serve_bench"))
-        .args(["--smoke", "--out"])
-        .arg(&out)
-        .env("REPRO_THREADS", threads)
-        .output()
-        .expect("serve_bench runs");
-    assert!(
-        output.status.success(),
-        "serve_bench failed with REPRO_THREADS={threads}: {}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    let stdout = String::from_utf8(output.stdout).expect("serve_bench prints UTF-8");
-    let json = std::fs::read(&out).expect("serve_bench wrote the report");
-    let _ = std::fs::remove_file(&out);
-    (stdout, json)
-}
+mod common;
 
 #[test]
 fn report_is_byte_identical_across_worker_counts() {
-    let (stdout1, json1) = run_smoke("1", "workers");
-    let (stdout4, json4) = run_smoke("4", "workers");
-    assert_eq!(json1, json4, "serve_report.json differs between REPRO_THREADS=1 and 4");
-    // The [serve] summary lines are all printed from the main thread, so
-    // they must match too.
-    assert_eq!(stdout1, stdout4, "stdout differs between worker counts");
-}
-
-#[test]
-fn repeated_runs_are_identical() {
-    let (_, first) = run_smoke("4", "repeat_a");
-    let (_, second) = run_smoke("4", "repeat_b");
-    assert_eq!(first, second, "two identical invocations disagreed");
+    let [one, four] =
+        common::full_runs(env!("CARGO_BIN_EXE_serve_bench"), &["serve_report.json"], &[]);
+    // The [serve] summary lines are all printed from the main thread.
+    assert_eq!(one, four, "stdout differs between REPRO_THREADS=1 and 4");
+    // The template-cache counters are in no report, so the line is pinned
+    // here.
+    let cache: Vec<&str> = one.lines().filter(|l| l.starts_with("[serve] trace_cache ")).collect();
+    assert_eq!(
+        cache,
+        ["[serve] trace_cache hits 95687 misses 156 hit_permille 998 resident_kb 11095 ready \
+             156 too_big 0"]
+    );
 }
