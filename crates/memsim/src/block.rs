@@ -33,10 +33,6 @@ use crate::access::{Access, AccessKind, VarClass};
 /// Bit 0 of a packed meta byte: set for writes.
 const META_WRITE: u8 = 1;
 
-/// Bytes one packed entry occupies across the two columns: a `u64` line
-/// address and a `u8` meta byte.
-const BYTES_PER_ENTRY: usize = core::mem::size_of::<u64>() + core::mem::size_of::<u8>();
-
 /// Decode table for bits 2..1 of a packed meta byte. Indexing a const
 /// table is branch-free and keeps the discriminants in one place (the
 /// encode side uses `class as u8`, whose values Rust assigns in
@@ -206,14 +202,6 @@ impl AccessBlock {
         self.addrs.iter().zip(&self.meta).map(|(&addr, &m)| (addr, meta_kind(m), meta_class(m)))
     }
 
-    /// Bytes the packed entries occupy: [`AccessBlock::len`] × 9, a pure
-    /// function of the packed trace (capacity is not counted). The
-    /// serving layer's trace-template cache budgets its arenas with it.
-    #[must_use]
-    pub fn packed_bytes(&self) -> usize {
-        self.len() * BYTES_PER_ENTRY
-    }
-
     /// The raw packed arrays, for the cache's SoA pass.
     #[inline]
     pub(crate) fn parts(&self) -> (&[u64], &[u8]) {
@@ -263,7 +251,6 @@ mod tests {
                 (2, AccessKind::Read, VarClass::Stream),
             ]
         );
-        assert_eq!(b.packed_bytes(), 4 * 9);
     }
 
     #[test]
@@ -284,7 +271,7 @@ mod tests {
         let capacity = (b.addrs.capacity(), b.meta.capacity());
         b.clear();
         assert!(b.is_empty());
-        assert_eq!(b.packed_bytes(), 0);
+        assert_eq!(b.len(), 0);
         assert_eq!(b.line_bytes(), 64);
         assert_eq!((b.addrs.capacity(), b.meta.capacity()), capacity);
     }

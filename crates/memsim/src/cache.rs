@@ -35,11 +35,19 @@
 //!   through one loop, with the tick and hit counters held in locals
 //!   instead of `self`.
 //!
+//! A [`StrippedBlock`] replay ([`SimdEngine::commit_stripped`]) is a
+//! third way in, for traces replayed many times: it runs the same lookup
+//! as the other two for the entries that may miss, and stamps the
+//! guaranteed hits it kept straight into their slots (see the `strip`
+//! module for why that is exact).
+//!
 //! [`SimdEngine::commit_block`]: crate::SimdEngine::commit_block
+//! [`SimdEngine::commit_stripped`]: crate::SimdEngine::commit_stripped
 
 use crate::access::{Access, AccessKind, VarClass};
 use crate::block::{meta_class, meta_kind, AccessBlock};
 use crate::probe;
+use crate::strip::{StrippedBlock, KEPT_GUARANTEED, KEPT_WRITE};
 use core::fmt;
 
 /// Geometry of a [`Cache`].
@@ -238,6 +246,19 @@ struct BlockState {
     write_hits: u64,
 }
 
+/// Replay scratch: the slot each event of a [`StrippedBlock`] replay
+/// resolved, by event ordinal. It is not cache state, so reset and
+/// restore leave it alone and a clone (a batch-head snapshot) starts
+/// without it.
+#[derive(Default)]
+struct EventSlots(Vec<u32>);
+
+impl Clone for EventSlots {
+    fn clone(&self) -> EventSlots {
+        EventSlots::default()
+    }
+}
+
 /// A banked set-associative cache.
 ///
 /// Accesses spanning multiple lines are split internally, so a 32-byte
@@ -288,6 +309,7 @@ pub struct Cache {
     /// slot is actually referenced — and the LRU victim, being the least
     /// recently touched line, almost never is.
     lb_refs: Box<[u8]>,
+    event_slots: EventSlots,
 }
 
 impl Cache {
@@ -315,6 +337,7 @@ impl Cache {
             lb_addr: [LB_DEAD; LB_ENTRIES],
             lb_slot: [0; LB_ENTRIES],
             lb_refs: vec![0; slots].into_boxed_slice(),
+            event_slots: EventSlots::default(),
             config,
         })
     }
@@ -434,6 +457,48 @@ impl Cache {
         self.stats.write_hits += st.write_hits;
     }
 
+    /// Replays a [`StrippedBlock`]: counter for counter and stamp for
+    /// stamp the same as [`Cache::access_soa`] over the block it was
+    /// stripped from, from any start state (the `strip` module docs give
+    /// the argument). Events take the full lookup at their own tick;
+    /// a kept guaranteed hit stamps, and maybe dirties, the slot its
+    /// line's last event resolved. The line buffer is neither probed nor
+    /// filled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block was stripped for another configuration.
+    pub(crate) fn replay_stripped(&mut self, block: &StrippedBlock) {
+        assert_eq!(
+            block.config(),
+            &self.config,
+            "block stripped for {:?} replayed on {:?}",
+            block.config(),
+            self.config,
+        );
+        let start = self.tick;
+        let mut slots = core::mem::take(&mut self.event_slots.0);
+        slots.clear();
+        slots.reserve(block.events as usize);
+        for ((&line, &offset), &m) in block.lines.iter().zip(&block.offsets).zip(&block.meta) {
+            let tick = start + offset;
+            if m & KEPT_GUARANTEED != 0 {
+                let slot = slots[line as usize] as usize;
+                if m & KEPT_WRITE != 0 {
+                    self.flags[slot] |= FLAG_DIRTY;
+                }
+                self.stamps[slot] = tick;
+            } else {
+                let kind = if m & KEPT_WRITE != 0 { AccessKind::Write } else { AccessKind::Read };
+                slots.push(self.lookup(tick, line, kind) as u32);
+            }
+        }
+        self.event_slots.0 = slots;
+        self.tick = start + block.entries();
+        self.stats.read_hits += block.read_hits;
+        self.stats.write_hits += block.write_hits;
+    }
+
     /// Per-access body of the block loop: the line-buffer probe with its
     /// bookkeeping on the register-resident [`BlockState`], falling back
     /// to the ordinary slow path (which writes `self.stats` directly —
@@ -476,10 +541,9 @@ impl Cache {
         st
     }
 
-    /// Full set resolution: the hit bookkeeping, or the miss/fill
-    /// transition. Both kinds fill on a miss (write-allocate), and a
-    /// store dirties its line. `insert_lb` feeds the resolved slot to the
-    /// line buffer (false on the [`Cache::access`] reference path).
+    /// Full set resolution, [`Cache::lookup`], whose resolved slot
+    /// `insert_lb` feeds to the line buffer (false on the
+    /// [`Cache::access`] reference path).
     #[inline]
     fn access_line_slow(
         &mut self,
@@ -489,11 +553,23 @@ impl Cache {
         class: VarClass,
         insert_lb: bool,
     ) {
+        let slot = self.lookup(tick, line_addr, kind);
+        if insert_lb {
+            self.lb_insert(line_addr, slot, class);
+        }
+    }
+
+    /// Full set resolution: the hit bookkeeping, or the miss/fill
+    /// transition. Both kinds fill on a miss (write-allocate), and a
+    /// store dirties its line. Returns the packed slot now holding the
+    /// line.
+    #[inline]
+    fn lookup(&mut self, tick: u64, line_addr: u64, kind: AccessKind) -> usize {
         let set_idx = (line_addr & self.set_mask) as usize;
         let base = set_idx * self.ways;
         let tag = line_addr >> self.set_bits;
         let hit = self.probe_hit(set_idx, base, tag);
-        let slot = if hit == usize::MAX {
+        if hit == usize::MAX {
             match kind {
                 AccessKind::Read => self.stats.read_misses += 1,
                 AccessKind::Write => self.stats.write_misses += 1,
@@ -511,9 +587,6 @@ impl Cache {
             }
             self.stamps[slot] = tick;
             slot
-        };
-        if insert_lb {
-            self.lb_insert(line_addr, slot, class);
         }
     }
 

@@ -3,6 +3,7 @@
 use crate::access::Access;
 use crate::block::AccessBlock;
 use crate::cache::{Cache, CacheConfig, CacheConfigError, CacheStats};
+use crate::strip::StrippedBlock;
 use core::fmt;
 
 /// Width of one SIMD operand: 256 bits.
@@ -84,6 +85,22 @@ impl SimdEngine {
         self.cycles += block.ops();
         self.ops += block.ops();
         self.cache.access_soa(block);
+    }
+
+    /// Replays a [`StrippedBlock`]: the same cycles, ops, counters and
+    /// line states as [`SimdEngine::commit_block`] on the block it was
+    /// stripped from, from any engine state, but only the entries that
+    /// may miss take a cache lookup. The serving fleet replays its trace
+    /// templates this way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block was stripped for another configuration than
+    /// this engine's cache.
+    pub fn commit_stripped(&mut self, block: &StrippedBlock) {
+        self.cycles += block.ops();
+        self.ops += block.ops();
+        self.cache.replay_stripped(block);
     }
 
     /// Charges idle cycles without memory traffic (e.g. pipeline drain).

@@ -13,6 +13,9 @@
 //!   paper's bandwidth figures report. It has one production pass,
 //!   [`Cache::access_soa`] over a packed [`AccessBlock`], and one
 //!   reference, [`Cache::access`], that takes one access at a time.
+//! - [`StrippedBlock`] — a recorded block stripped, for one geometry, of
+//!   the touches LRU guarantees to hit; [`SimdEngine::commit_stripped`]
+//!   replays it with the counters and line states of the full block.
 //! - [`SimdEngine`] — the 256-bit, 3-input, 1-op/cycle front end that
 //!   drives the cache and converts traffic into a bandwidth *requirement*
 //!   (bytes per cycle at 1 GHz).
@@ -60,6 +63,7 @@ mod engine;
 pub mod kernels;
 mod probe;
 mod reuse;
+mod strip;
 
 pub use access::{Access, AccessKind, Addr, VarClass};
 pub use batch::{run_buffered, BatchSink};
@@ -68,3 +72,4 @@ pub use cache::{Cache, CacheConfig, CacheConfigError, CacheStats, LineState};
 pub use engine::{BandwidthReport, SimdEngine, SIMD_WIDTH_BYTES};
 pub use kernels::{KernelStats, Technique, Workload};
 pub use reuse::{ReuseClass, ReuseProfiler, ReuseSummary, VariableReuse};
+pub use strip::StrippedBlock;

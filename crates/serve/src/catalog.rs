@@ -20,12 +20,19 @@
 //! generates the identical access trace, yet the fleet used to regenerate
 //! it from the kernel loop nest for every one of ~100k requests. The
 //! [`TraceCache`] records each template's flattened [`AccessBlock`] once,
-//! on first use, into a bounded per-shard arena; every later leg replays
-//! the packed block with a single [`SimdEngine::commit_block`] call. The
-//! replay is counter-identical to fresh generation — flush boundaries are
-//! invisible to the cache model, and a leg's completion timestamp is read
+//! on first use, and commits it. It then strips the recording for the
+//! engine's cache geometry into a [`StrippedBlock`], keeps that in a
+//! bounded per-shard arena and drops the recording. Every later leg on
+//! an engine of that geometry replays the stripped block with one
+//! [`SimdEngine::commit_stripped`] call, which skips the touches LRU
+//! guarantees to hit: about three entries in four on the heavy stream.
+//! The replay is counter-identical to fresh generation — flush
+//! boundaries are invisible to the cache model, stripping changes no
+//! counter and no line state, and a leg's completion timestamp is read
 //! from the cumulative cycle counter only after the leg — so every
-//! sha-pinned report stays byte-identical with the cache on or off.
+//! sha-pinned report stays byte-identical with the cache on or off. A leg
+//! on an engine of another geometry generates its trace fresh and counts
+//! as a miss.
 //!
 //! A batch's first leg runs on a just-reset engine, so the engine state
 //! it leaves behind is a pure function of the template as well. The first
@@ -33,16 +40,15 @@
 //! ([`SimdEngine::is_pristine`]), the cache keeps a clone of the engine
 //! afterwards, about 10 KB at the paper geometry; later batch heads
 //! restore it with [`SimdEngine::restore_from`], a plain copy, instead of
-//! replaying the block. A snapshot taken on another cache configuration
-//! is refused, and the leg replays the block as usual.
+//! replaying the block.
 //!
-//! [`SimdEngine::commit_block`]: pudiannao_memsim::SimdEngine::commit_block
+//! [`SimdEngine::commit_stripped`]: pudiannao_memsim::SimdEngine::commit_stripped
 //! [`SimdEngine::is_pristine`]: pudiannao_memsim::SimdEngine::is_pristine
 //! [`SimdEngine::restore_from`]: pudiannao_memsim::SimdEngine::restore_from
 
 use pudiannao_codegen::phases::Phase;
 use pudiannao_memsim::kernels::{ct, dnn, kmeans, knn, linreg, nb, svm, TraceSink};
-use pudiannao_memsim::{Access, AccessBlock, BatchSink, SimdEngine, Workload};
+use pudiannao_memsim::{Access, AccessBlock, BatchSink, SimdEngine, StrippedBlock, Workload};
 
 use crate::request::SizeTier;
 
@@ -94,10 +100,11 @@ impl ServingCatalog {
 enum Slot {
     /// Never executed through this cache yet.
     Empty,
-    /// Recorded; legs replay `block`. `head` is the engine as the slot's
+    /// Recorded and stripped for one geometry; legs on engines of that
+    /// geometry replay `stripped`. `head` is the engine as the slot's
     /// first replay from reset left it, once that replay has happened;
     /// later batch heads restore it instead of replaying.
-    Ready { block: AccessBlock, head: Option<Box<SimdEngine>> },
+    Ready { stripped: StrippedBlock, head: Option<Box<SimdEngine>> },
     /// Recording would overflow the arena budget; legs for this slot
     /// generate fresh forever (bounded memory beats caching the giants).
     TooBig,
@@ -107,13 +114,15 @@ enum Slot {
 /// report. Never serialised into the report JSON.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraceCacheStats {
-    /// Legs served by replaying a recorded block.
+    /// Legs served by replaying a recorded template.
     pub hits: u64,
-    /// Legs that generated their trace fresh (first use or over-budget).
+    /// Legs that generated their trace fresh (first use, over-budget, or
+    /// an engine of another geometry than the template was stripped for).
     pub misses: u64,
-    /// Accounted bytes of recorded blocks resident across the caches.
-    /// Batch-head snapshots (at most one engine clone per slot) are not
-    /// counted.
+    /// Accounted bytes of stripped templates resident across the caches
+    /// ([`StrippedBlock::bytes`]). Recordings are dropped once stripped,
+    /// and batch-head snapshots (at most one engine clone per slot) are
+    /// not counted.
     pub resident_bytes: u64,
     /// Slots holding a replayable block.
     pub ready_slots: u64,
@@ -156,16 +165,16 @@ impl TraceSink for PackSink<'_> {
 }
 
 /// Per-shard trace-template cache: one slot per `(phase, tier)`, a byte
-/// budget bounding the recorded arena, and hit/miss counters.
+/// budget bounding the stripped arena, and hit/miss counters.
 ///
-/// A recorded block costs its [`AccessBlock::packed_bytes`], a pure
-/// function of the template's trace, so the Ready/TooBig decision is
-/// identical on every shard and every run.
+/// A template costs its [`StrippedBlock::bytes`], a pure function of
+/// the template's trace and the geometry, so the Ready/TooBig decision
+/// is identical on every shard and every run.
 ///
 /// Per-shard (not fleet-global) deliberately: shards execute their waves
 /// in parallel, and a shared cache would need synchronisation on the
-/// hottest path; 39 slots of small packed blocks are cheap enough to
-/// duplicate. Each shard's leg sequence is deterministic, so its
+/// hottest path; 39 slots of small stripped templates are cheap enough
+/// to duplicate. Each shard's leg sequence is deterministic, so its
 /// counters — and their fleet-wide sum — are too.
 pub struct TraceCache {
     slots: Vec<Slot>,
@@ -176,8 +185,8 @@ pub struct TraceCache {
 }
 
 impl TraceCache {
-    /// An empty cache whose recorded blocks may use at most
-    /// `budget_bytes` of [`AccessBlock::packed_bytes`].
+    /// An empty cache whose stripped templates may use at most
+    /// `budget_bytes` of [`StrippedBlock::bytes`].
     #[must_use]
     pub fn new(budget_bytes: usize) -> TraceCache {
         TraceCache {
@@ -192,11 +201,12 @@ impl TraceCache {
     /// Executes one `(phase, tier)` leg through `engine`. On a hit it
     /// restores the slot's batch-head snapshot when `engine` is pristine
     /// (taking the snapshot on the first such hit) and replays the
-    /// recorded block otherwise; it records on first use, and generates
-    /// fresh (via `scratch`, chunked) for over-budget templates. With no
-    /// budget left, a first use goes straight to that chunked path and
-    /// records nothing. Counter-identical to streaming
-    /// `catalog.get(phase, tier)` through a [`BatchSink`].
+    /// stripped template otherwise; it records and strips on first use,
+    /// and generates fresh (via `scratch`, chunked) for over-budget
+    /// templates and for engines of another geometry than the template
+    /// was stripped for. With no budget left, a first use goes straight
+    /// to that chunked path and records nothing. Counter-identical to
+    /// streaming `catalog.get(phase, tier)` through a [`BatchSink`].
     pub fn execute(
         &mut self,
         catalog: &ServingCatalog,
@@ -210,21 +220,19 @@ impl TraceCache {
             self.slots[idx] = Slot::TooBig;
         }
         match &mut self.slots[idx] {
-            Slot::Ready { block, head } => {
+            Slot::Ready { stripped, head } if stripped.config() == engine.cache().config() => {
                 self.hits += 1;
                 if !engine.is_pristine() {
-                    engine.commit_block(block);
+                    engine.commit_stripped(stripped);
                 } else if let Some(snapshot) = head {
-                    if !engine.restore_from(snapshot) {
-                        // Taken on another cache configuration.
-                        engine.commit_block(block);
-                    }
+                    // Taken on the template's geometry, which is this engine's.
+                    assert!(engine.restore_from(snapshot), "batch-head snapshot refused");
                 } else {
-                    engine.commit_block(block);
+                    engine.commit_stripped(stripped);
                     *head = Some(Box::new(engine.clone()));
                 }
             }
-            Slot::TooBig => {
+            Slot::Ready { .. } | Slot::TooBig => {
                 self.misses += 1;
                 let mut sink = BatchSink::new(engine, scratch);
                 catalog.get(phase, tier).trace(&mut sink);
@@ -232,13 +240,17 @@ impl TraceCache {
             }
             Slot::Empty => {
                 self.misses += 1;
-                let mut recording = AccessBlock::new(engine.cache().config().line_bytes);
+                let config = engine.cache().config();
+                let mut recording = AccessBlock::new(config.line_bytes);
                 catalog.get(phase, tier).trace(&mut PackSink { block: &mut recording });
+                let stripped =
+                    StrippedBlock::new(&recording, config).expect("an engine's config is valid");
                 engine.commit_block(&recording);
-                let cost = recording.packed_bytes();
+                drop(recording);
+                let cost = stripped.bytes();
                 if self.used_bytes + cost <= self.budget_bytes {
                     self.used_bytes += cost;
-                    self.slots[idx] = Slot::Ready { block: recording, head: None };
+                    self.slots[idx] = Slot::Ready { stripped, head: None };
                 } else {
                     self.slots[idx] = Slot::TooBig;
                 }

@@ -13,11 +13,11 @@ fn report_is_byte_identical_across_worker_counts() {
     // The [serve] summary lines are all printed from the main thread.
     assert_eq!(one, four, "stdout differs between REPRO_THREADS=1 and 4");
     // The template-cache counters are in no report, so the line is pinned
-    // here.
+    // here. `resident_kb` is the four shards' stripped templates.
     let cache: Vec<&str> = one.lines().filter(|l| l.starts_with("[serve] trace_cache ")).collect();
     assert_eq!(
         cache,
-        ["[serve] trace_cache hits 95687 misses 156 hit_permille 998 resident_kb 11095 ready \
+        ["[serve] trace_cache hits 95687 misses 156 hit_permille 998 resident_kb 5159 ready \
              156 too_big 0"]
     );
 }

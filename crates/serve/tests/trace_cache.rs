@@ -82,9 +82,10 @@ fn cached_replay_matches_fresh_generation() {
 }
 
 /// One cache serving engines of two geometries on the same 64-byte line:
-/// a batch-head snapshot taken on the paper geometry is refused by a
-/// 16 KB 4-way engine, whose batch heads replay the block instead and
-/// still match fresh generation.
+/// a template recorded, stripped and snapshotted on the paper geometry is
+/// neither replayed nor restored on a 16 KB 4-way engine. Its legs there
+/// generate fresh, count as misses and match fresh generation, batch
+/// heads included.
 #[test]
 fn batch_head_snapshot_falls_back_on_another_geometry() {
     let catalog = ServingCatalog::paper_default();
@@ -99,13 +100,21 @@ fn batch_head_snapshot_falls_back_on_another_geometry() {
             paper.reset();
             cache.execute(&catalog, phase, tier, &mut paper, &mut buf);
         }
-        for head in 0..2 {
-            let mut cached = SimdEngine::new(other.clone()).expect("valid config");
-            let mut fresh = SimdEngine::new(other.clone()).expect("valid config");
+        assert_eq!((cache.stats().hits, cache.stats().misses), (1, 1), "{phase:?} paper legs");
+        let mut cached = SimdEngine::new(other.clone()).expect("valid config");
+        let mut fresh = SimdEngine::new(other.clone()).expect("valid config");
+        for (leg, batch_head) in [("head", true), ("replay", false), ("second head", true)] {
+            if batch_head {
+                cached.reset();
+                fresh.reset();
+            }
             cache.execute(&catalog, phase, tier, &mut cached, &mut buf);
             fresh_leg(&catalog, phase, tier, &mut fresh);
-            assert_engines_equal(&cached, &fresh, &format!("{phase:?} 16 KB 4-way head {head}"));
+            assert_engines_equal(&cached, &fresh, &format!("{phase:?} 16 KB 4-way {leg}"));
         }
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (1, 4), "{phase:?}: other-geometry legs miss");
+        assert_eq!((stats.ready_slots, stats.too_big_slots), (1, 0), "{phase:?} slot states");
     }
 }
 

@@ -1,7 +1,8 @@
-//! Differential suite pinning memsim's two cache paths to a reference
-//! model: [`Cache::access`], one access at a time, and
+//! Differential suite pinning memsim's cache paths to a reference
+//! model: [`Cache::access`], one access at a time,
 //! [`Cache::access_soa`], the production pass over packed
-//! [`AccessBlock`]s that [`SimdEngine::commit_block`] runs.
+//! [`AccessBlock`]s that [`SimdEngine::commit_block`] runs, and the
+//! [`StrippedBlock`] replay of [`SimdEngine::commit_stripped`].
 //!
 //! The reference below is an independent reimplementation in the style the
 //! simulator started from: one `Vec<Vec<RefLine>>` of per-set line
@@ -25,7 +26,7 @@
 use proptest::prelude::*;
 use pudiannao::memsim::{
     Access, AccessBlock, AccessKind, Addr, Cache, CacheConfig, CacheStats, ReuseProfiler,
-    SimdEngine, VarClass,
+    SimdEngine, StrippedBlock, VarClass,
 };
 
 const WAYS: [u32; 8] = [1, 2, 3, 4, 5, 8, 16, 24];
@@ -184,13 +185,29 @@ fn assert_matches(cache: &Cache, want: &RefCache, path: &str) {
 /// [`WINDOW_LINES`] 64-byte lines; [`fit`] folds them into a geometry's
 /// own window.
 fn any_ops(max_ops: usize) -> impl Strategy<Value = Vec<Vec<Access>>> {
-    let access = (0..WINDOW_LINES * 64, 0u32..97, any::<bool>(), 0..CLASSES.len()).prop_map(
+    ops_in(WINDOW_LINES, max_ops)
+}
+
+/// [`any_ops`] starting in the first `lines` 64-byte lines only.
+fn ops_in(lines: u64, max_ops: usize) -> impl Strategy<Value = Vec<Vec<Access>>> {
+    let access = (0..lines * 64, 0u32..97, any::<bool>(), 0..CLASSES.len()).prop_map(
         |(addr, bytes, write, class)| {
             let kind = if write { AccessKind::Write } else { AccessKind::Read };
             Access { addr: Addr(addr), bytes, kind, class: CLASSES[class] }
         },
     );
     proptest::collection::vec(proptest::collection::vec(access, 1..5), 1..max_ops)
+}
+
+/// One op per touch of the byte at `addr`: two reads, `writes` stores,
+/// then a read. The second read opens the line's guaranteed window as a
+/// read, so the stores it absorbs must still dirty the line.
+fn repeated_writes(addr: u64, writes: usize) -> Vec<Vec<Access>> {
+    let read = vec![Access::read(Addr(addr), 1, VarClass::Hot)];
+    let mut ops = vec![read.clone(), read.clone()];
+    ops.extend((0..writes).map(|_| vec![Access::write(Addr(addr), 1, VarClass::Output)]));
+    ops.push(read);
+    ops
 }
 
 /// `ops` with every address folded into `cfg`'s window of
@@ -341,6 +358,74 @@ proptest! {
             }
             prop_assert_eq!(reused.stats(), fresh.stats(), "access on {:?}", cfg);
             prop_assert_eq!(states(&reused), states(&fresh), "access on {:?}", cfg);
+        }
+    }
+
+    /// A [`StrippedBlock`] replay from a warm cache (dirty lines,
+    /// part-filled sets, live line-buffer entries) leaves the stats and
+    /// line states of the reference and of [`Cache::access_soa`] over the
+    /// full block from the same start state: replayed once, then again
+    /// from the state the first replay left, then once more after
+    /// `reset`. A warm-up tail through `access_soa` after the two replays
+    /// checks that the line buffer they left is still truthful. The block
+    /// mixes random line-crossing ops, repeated stores to one line and a
+    /// hot window of four lines, so sets see every reuse distance.
+    #[test]
+    fn stripped_replay_matches_reference(
+        warm in any_ops(60),
+        ops in any_ops(120),
+        hot in ops_in(4, 80),
+        store_addr in 0..WINDOW_LINES * 64,
+        writes in 1usize..6,
+    ) {
+        let block_ops: Vec<Vec<Access>> =
+            ops.into_iter().chain(repeated_writes(store_addr, writes)).chain(hot).collect();
+        for cfg in every_geometry() {
+            let warm = fit(&warm, &cfg);
+            let block_ops = fit(&block_ops, &cfg);
+            let warm_block = &pack_blocks(&warm, cfg.line_bytes, &[warm.len()])[0];
+            let block = &pack_blocks(&block_ops, cfg.line_bytes, &[block_ops.len()])[0];
+            let stripped = StrippedBlock::new(block, &cfg).unwrap();
+            prop_assert_eq!(stripped.ops(), block.ops());
+            prop_assert_eq!(stripped.entries(), block.len() as u64);
+
+            let mut replayed = SimdEngine::new(cfg.clone()).unwrap();
+            let mut full = SimdEngine::new(cfg.clone()).unwrap();
+            replayed.commit_block(warm_block);
+            full.commit_block(warm_block);
+            let mut want = reference(&cfg, &warm);
+            let steps = [
+                ("first replay", Some(&stripped), (&block_ops, block)),
+                ("second replay", Some(&stripped), (&block_ops, block)),
+                ("warm-up tail", None, (&warm, warm_block)),
+            ];
+            for (step, stripped, (step_ops, packed)) in steps {
+                match stripped {
+                    Some(stripped) => replayed.commit_stripped(stripped),
+                    None => replayed.commit_block(packed),
+                }
+                full.commit_block(packed);
+                for a in step_ops.iter().flatten() {
+                    want.access(a);
+                }
+                assert_matches(replayed.cache(), &want, step);
+                prop_assert_eq!(replayed.report(), full.report(), "{} on {:?}", step, cfg);
+                prop_assert_eq!(
+                    states(replayed.cache()),
+                    states(full.cache()),
+                    "{} on {:?}",
+                    step,
+                    cfg
+                );
+            }
+
+            replayed.reset();
+            replayed.commit_stripped(&stripped);
+            let mut fresh = SimdEngine::new(cfg.clone()).unwrap();
+            fresh.commit_block(block);
+            assert_matches(replayed.cache(), &reference(&cfg, &block_ops), "replay after reset");
+            prop_assert_eq!(replayed.report(), fresh.report(), "after reset on {:?}", cfg);
+            prop_assert_eq!(states(replayed.cache()), states(fresh.cache()), "after reset");
         }
     }
 
